@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DecodeError, NumericError, ShapeMismatchError
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
+from .metrics import check_probabilities
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
                        conv2d_forward, relu_forward_backward,
@@ -78,8 +79,7 @@ def fuse_max(probmaps, binarize_threshold=0.5):
     """Pointwise maximum of probability maps, plus its binarization."""
     maps = _image_list(probmaps)
     for idx, m in enumerate(maps):
-        if m.min() < 0.0 or m.max() > 1.0:
-            raise ValueError(f"probability map {idx} has values outside [0, 1]")
+        check_probabilities(m, f"probability map {idx}")
     fused = np.max(np.stack([m.astype(np.float32) for m in maps]), axis=0)
     return fused, binarize(fused, binarize_threshold)
 

@@ -84,7 +84,16 @@ def _decode_pgm(data, path=None):
         raise DecodeError(
             f"truncated PGM raster: expected {need} bytes, found {len(raster)}",
             offset=pos + len(raster), path=path)
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval == 255:
+        return img.copy()
+    over = np.flatnonzero(img > maxval)
+    if over.size:
+        raise DecodeError(f"PGM sample {img.flat[over[0]]} exceeds maxval {maxval}",
+                          offset=pos + int(over[0]), path=path)
+    # Netpbm: a sample v of maxval m reads as round(v * 255 / m), halves up
+    levels = np.arange(maxval + 1) * 510 + maxval
+    return (levels // (2 * maxval)).astype(np.uint8)[img]
 
 
 def _encode_pgm(arr):
@@ -160,6 +169,9 @@ def _decode_png(data, path=None):
         if zlib.crc32(data[pos + 4:dend]) & 0xFFFFFFFF != crc:
             raise DecodeError("PNG chunk CRC mismatch", offset=dend, path=path)
         if ctype == b"IHDR":
+            if length != 13:
+                raise DecodeError(f"PNG IHDR has {length} bytes (need 13)",
+                                  offset=pos, path=path)
             width, height, depth, color, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", payload)
             if depth != 8:

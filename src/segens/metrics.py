@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import ShapeMismatchError
+from .errors import NumericError, ShapeMismatchError
 
 _METRIC_NAMES = ("iou", "dice", "precision", "recall")
 
@@ -63,6 +63,19 @@ def _as_binary(x, name):
     if not np.isin(arr, (0, 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
     return arr.astype(bool)
+
+
+def check_probabilities(p, name):
+    """Raise unless every value of ``p`` is a finite number in [0, 1].
+
+    Non-finite values raise NumericError, finite ones outside [0, 1]
+    ValueError. min and max propagate NaN, so they cover both checks.
+    """
+    lo, hi = float(np.min(p)), float(np.max(p))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericError(f"{name} contains non-finite values")
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError(f"{name} has values outside [0, 1]")
 
 
 def confusion(pred, gt):
@@ -311,6 +324,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     match_tally = ConfusionCounts(0, 0, 0, 0)
     for idx, (p, g) in enumerate(zip(preds, gts)):
         p = np.asarray(p, dtype=np.float64)
+        check_probabilities(p, f"prediction {idx}")
         mask = (p >= threshold).astype(np.uint8)
         c = confusion(mask, g)
         pooled = pooled + c

@@ -8,6 +8,13 @@ was float64, in which case the result stays 64-bit. Gradient checks
 exploit this: perturbing a float64 copy of any operand yields a fully
 64-bit loss evaluation.
 
+Convolution is shift-and-accumulate (kn2row, arXiv:1704.04428): the input
+is zero-padded once to float64, each kernel tap reads a shifted view of
+it, and the products ``W[:, :, i, j] @ view`` are summed into one float64
+``O x H x (W+2*pw)`` accumulator whose pad columns are cropped; backward
+runs the same products per tap. Memory is the padded input, the
+accumulator and one product buffer, not a ``9C x H x W`` column matrix.
+
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
 """
@@ -20,6 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
+
+
+# Largest C*kh*kw whose taps share one stacked GEMM (see _tap_groups).
+_STACKED_MAX_K = 64
 
 
 def _out_dtype(*arrays):
@@ -80,21 +91,61 @@ class ConvKernel:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-def _im2col(x, kh, kw):
-    """Unfold a zero-padded (C, H, W) array into (C*kh*kw, H*W) float64.
+def _padded_rows(x, kh, kw):
+    """Zero-pad (C, H, W) to float64 rows of ``stride = W + 2*pw``, flattened.
 
-    The first axis is ordered channel-major, then kernel row, then kernel
-    column, matching the row-major flattening of ConvKernel.weights.
+    ``2*pw`` trailing zeros let tap (i, j) at ``o = i*stride + j`` read
+    ``flat[:, o:o + H*stride]``, in which output pixel (y, z) is column
+    ``y*stride + z`` and the ``2*pw`` columns past ``W`` per row are junk.
+    Returns (flat, stride, tap offsets in row-major order).
     """
     ch, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    padded = np.zeros((ch, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    padded[:, ph:ph + h, pw:pw + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    # (C, H, W, kh, kw) -> (C, kh, kw, H, W) -> (C*kh*kw, H*W)
-    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(
-        ch * kh * kw, h * w
-    )
+    stride = w + 2 * pw
+    flat = np.zeros((ch, (h + 2 * ph) * stride + 2 * pw), dtype=np.float64)
+    _interior(flat, h, w, kh, kw)[...] = x
+    offsets = [i * stride + j for i in range(kh) for j in range(kw)]
+    return flat, stride, offsets
+
+
+def _interior(flat, h, w, kh, kw):
+    """View of the (C, H, W) unpadded pixels of a _padded_rows buffer."""
+    ph, pw = kh // 2, kw // 2
+    stride = w + 2 * pw
+    rows = flat[:, :(h + 2 * ph) * stride].reshape(len(flat), h + 2 * ph, stride)
+    return rows[:, ph:ph + h, pw:pw + w]
+
+
+def _tap_groups(flat, offsets, n):
+    """Yield (weight columns, tap offsets, (taps*C, n) inputs) per GEMM.
+
+    With few input channels a GEMM per tap is mostly call overhead, so up
+    to _STACKED_MAX_K rows all taps are copied into one tap-major matrix;
+    otherwise each tap is a strided view of ``flat`` that BLAS reads as is.
+    """
+    ch = len(flat)
+    per = len(offsets) if ch * len(offsets) <= _STACKED_MAX_K else 1
+    for t in range(0, len(offsets), per):
+        group = offsets[t:t + per]
+        cols = (flat[:, group[0]:group[0] + n] if per == 1
+                else np.concatenate([flat[:, o:o + n] for o in group]))
+        yield slice(t * ch, (t + per) * ch), group, cols
+
+
+def _tap_major(weights):
+    """(O, C, kh, kw) weights as a float64 (O, kh*kw*C) matrix, tap-major."""
+    out_ch, in_ch = weights.shape[:2]
+    w64 = weights.astype(np.float64).reshape(out_ch, in_ch, -1)
+    return np.ascontiguousarray(w64.transpose(0, 2, 1)).reshape(out_ch, -1)
+
+
+def _check_channels(x, kernel):
+    x = _require_chw(x)
+    if x.shape[0] != kernel.in_channels:
+        raise ShapeMismatchError(
+            f"input has {x.shape[0]} channels but kernel expects {kernel.in_channels}"
+        )
+    return x
 
 
 def conv2d_forward(x, kernel):
@@ -102,17 +153,21 @@ def conv2d_forward(x, kernel):
 
     Borders are zero padded so spatial dims are preserved.
     """
-    x = _require_chw(x)
+    x = _check_channels(x, kernel)
     out_ch, in_ch, kh, kw = kernel.weights.shape
-    if x.shape[0] != in_ch:
-        raise ShapeMismatchError(
-            f"input has {x.shape[0]} channels but kernel expects {in_ch}"
-        )
     _, h, w = x.shape
-    cols = _im2col(x, kh, kw)
-    wmat = kernel.weights.astype(np.float64).reshape(out_ch, in_ch * kh * kw)
-    out = wmat @ cols + kernel.bias.astype(np.float64)[:, None]
-    out = out.reshape(out_ch, h, w)
+    flat, stride, offsets = _padded_rows(x, kh, kw)
+    wmat = _tap_major(kernel.weights)
+    acc = tmp = None
+    for taps, _, cols in _tap_groups(flat, offsets, h * stride):
+        if acc is None:
+            acc = wmat[:, taps] @ cols
+            continue
+        if tmp is None:
+            tmp = np.empty_like(acc)
+        acc += np.matmul(wmat[:, taps], cols, out=tmp)
+    acc += kernel.bias.astype(np.float64)[:, None]
+    out = acc.reshape(out_ch, h, stride)[:, :, :w]
     if not np.isfinite(out).all():
         raise NumericError("convolution produced non-finite values")
     return out.astype(_out_dtype(x, kernel.weights, kernel.bias))
@@ -124,31 +179,35 @@ def conv2d_backward(x, kernel, grad_out):
     ``grad_out`` is the upstream gradient with the output's shape.
     Returns (grad_input, grad_weights, grad_bias).
     """
-    x = _require_chw(x)
+    x = _check_channels(x, kernel)
     g = _require_chw(grad_out, "grad_out")
     out_ch, in_ch, kh, kw = kernel.weights.shape
-    if x.shape[0] != in_ch:
-        raise ShapeMismatchError(
-            f"input has {x.shape[0]} channels but kernel expects {in_ch}"
-        )
     _, h, w = x.shape
     if g.shape != (out_ch, h, w):
         raise ShapeMismatchError(
             f"grad_out shape {g.shape} does not match output shape {(out_ch, h, w)}"
         )
-    ph, pw = kh // 2, kw // 2
-    cols = _im2col(x, kh, kw)
-    gmat = g.astype(np.float64).reshape(out_ch, h * w)
-    grad_bias = gmat.sum(axis=1)
-    grad_weights = (gmat @ cols.T).reshape(out_ch, in_ch, kh, kw)
+    flat, stride, offsets = _padded_rows(x, kh, kw)
+    n = h * stride
+    # zeros in the junk columns keep them out of both gradients
+    gpad = np.zeros((out_ch, h, stride), dtype=np.float64)
+    gpad[:, :, :w] = g
+    gpad = gpad.reshape(out_ch, n)
+    grad_bias = np.asarray(g, dtype=np.float64).reshape(out_ch, h * w).sum(axis=1)
 
-    wmat = kernel.weights.astype(np.float64).reshape(out_ch, in_ch * kh * kw)
-    gcols = (wmat.T @ gmat).reshape(in_ch, kh, kw, h, w)
-    gpad = np.zeros((in_ch, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            gpad[:, i:i + h, j:j + w] += gcols[:, i, j]
-    grad_input = gpad[:, ph:ph + h, pw:pw + w]
+    wmat = _tap_major(kernel.weights)
+    gw = np.empty_like(wmat)
+    gflat = np.zeros_like(flat)
+    tmp = None
+    for taps, group, cols in _tap_groups(flat, offsets, n):
+        np.matmul(gpad, cols.T, out=gw[:, taps])
+        if tmp is None:
+            tmp = np.empty(cols.shape, dtype=np.float64)
+        np.matmul(wmat[:, taps].T, gpad, out=tmp)
+        for k, o in enumerate(group):
+            gflat[:, o:o + n] += tmp[k * in_ch:(k + 1) * in_ch]
+    grad_input = _interior(gflat, h, w, kh, kw)
+    grad_weights = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2)
 
     dt = _out_dtype(x, kernel.weights, g)
     return grad_input.astype(dt), grad_weights.astype(dt), grad_bias.astype(dt)

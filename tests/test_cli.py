@@ -2,6 +2,7 @@
 contract."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -323,6 +324,13 @@ class TestExitCodes:
     def test_decode_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"NOTANIMAGE")
+        assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
+
+    def test_short_png_ihdr_is_two(self, tmp_path):
+        bad = tmp_path / "short.png"
+        ihdr = b"IHDR" + bytes(6)
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n" + (6).to_bytes(4, "big") + ihdr
+                        + zlib.crc32(ihdr).to_bytes(4, "big"))
         assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
 
     def test_shape_mismatch_is_three(self, tmp_path, rng):

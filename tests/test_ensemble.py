@@ -92,6 +92,13 @@ class TestFusion:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             fuse_max([np.full((2, 2), 1.5), np.zeros((2, 2))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_max_rejects_non_finite(self, bad):
+        m = np.full((2, 2), 0.5)
+        m[1, 0] = bad
+        with pytest.raises(NumericError, match="probability map 1"):
+            fuse_max([np.zeros((2, 2)), m])
+
 
 class TestBuild:
     def test_parameter_count_for_three_channels(self):

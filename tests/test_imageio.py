@@ -56,6 +56,28 @@ class TestPgm:
         with pytest.raises(DecodeError, match="maxval 65535"):
             load_gray(path)
 
+    @pytest.mark.parametrize("maxval,expected", [
+        (1, [0, 255]), (3, [0, 85, 170, 255]), (6, [0, 43, 85, 128, 170, 213, 255])])
+    def test_low_maxval_rescaled_to_255(self, tmp_path, maxval, expected):
+        # Netpbm: sample v reads as round(v * 255 / maxval), halves up
+        n = maxval + 1
+        path = tmp_path / "low.pgm"
+        path.write_bytes(b"P5\n%d 1\n%d\n" % (n, maxval) + bytes(range(n)))
+        assert load_gray(path).tolist() == [expected]
+
+    def test_maxval_one_mask_loads_as_mask(self, tmp_path, rng):
+        mask = (rng.random((5, 6)) > 0.5).astype(np.uint8)
+        path = tmp_path / "bits.pgm"
+        path.write_bytes(b"P5\n6 5\n1\n" + mask.tobytes())
+        assert np.array_equal(load_mask(path), mask)
+
+    def test_sample_above_maxval_reports_offset(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n3 1\n1\n\x00\x01\x02")
+        with pytest.raises(DecodeError, match="exceeds maxval 1") as e:
+            load_gray(path)
+        assert e.value.offset == len(b"P5\n3 1\n1\n") + 2
+
     def test_color_ppm_rejected(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
@@ -155,6 +177,19 @@ class TestPng:
         with pytest.raises(DecodeError) as e:
             load_gray(path)
         assert e.value.offset is not None
+
+    @pytest.mark.parametrize("size", [0, 8, 12, 14])
+    def test_wrong_size_ihdr_reports_chunk_offset(self, tmp_path, size):
+        header = struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)
+        data = (b"\x89PNG\r\n\x1a\n"
+                + _png_chunk(b"IHDR", (header + b"\x00")[:size])
+                + _png_chunk(b"IDAT", zlib.compress(b"\x00\x00"))
+                + _png_chunk(b"IEND", b""))
+        path = tmp_path / "short.png"
+        path.write_bytes(data)
+        with pytest.raises(DecodeError, match=f"IHDR has {size} bytes") as e:
+            load_gray(path)
+        assert e.value.offset == 8
 
     def test_crc_mismatch_detected(self, tmp_path, rng):
         img = rng.integers(0, 256, (4, 4), dtype=np.uint8)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from segens.errors import ShapeMismatchError
+from segens.errors import NumericError, ShapeMismatchError
 from segens.metrics import (ConfusionCounts, Curve, auroc, confusion,
                             default_threshold_grid, dice_from_iou,
                             evaluate_pairs, map11, mask_level_match,
@@ -302,6 +302,20 @@ class TestEvaluatePairs:
             pooled = pooled + confusion((np.asarray(p) >= 0.5).astype(np.uint8), g)
         assert report.counts == pooled
         assert report.iou == scalar_metrics(pooled)["iou"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_is_numeric_error(self, bad):
+        preds, gts = self._fixture(3)
+        preds[2][4, 5] = bad
+        with pytest.raises(NumericError, match="prediction 2"):
+            evaluate_pairs(preds, gts)
+
+    @pytest.mark.parametrize("bad", [1.7, -0.01])
+    def test_out_of_range_prediction_is_value_error(self, bad):
+        preds, gts = self._fixture(3)
+        preds[1][0, 0] = bad
+        with pytest.raises(ValueError, match=r"prediction 1 .*\[0, 1\]"):
+            evaluate_pairs(preds, gts)
 
     def test_threshold_grid_is_101_points(self):
         assert default_threshold_grid().size == 101

@@ -1,34 +1,49 @@
 """Tests for the dense-tensor kernel: conv2d, activations, Adam, FD oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from segens import ndtensor
 from segens.errors import NumericError, ShapeMismatchError
 from segens.ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
                              conv2d_forward, finite_diff_grad,
                              relu_forward_backward, sigmoid_forward_backward)
 
 
-def conv_reference(x, weights, bias):
-    """Direct zero-padded window summation, independent of the module."""
-    out_ch, in_ch, kh, kw = weights.shape
-    _, h, w = x.shape
+def conv_reference(x, weights, bias, grad_out=None):
+    """Forward, grad-input and grad-weights by per-pixel window sums.
+
+    Independent of the module: each output pixel visits its own
+    zero-padded kh x kw window and only the input-channel axis is
+    vectorized, with no matrix product and no unfolding. The gradients
+    are those of ``(out * grad_out).sum()``; without ``grad_out`` they
+    are zero.
+    """
+    x = np.asarray(x, np.float64)
+    w = np.asarray(weights, np.float64)
+    out_ch, _, kh, kw = w.shape
+    _, h, wd = x.shape
+    g = np.zeros((out_ch, h, wd)) if grad_out is None else grad_out
     ph, pw = kh // 2, kw // 2
-    out = np.zeros((out_ch, h, w), dtype=np.float64)
+    out = np.zeros((out_ch, h, wd))
+    gi = np.zeros_like(x)
+    gw = np.zeros_like(w)
     for o in range(out_ch):
         for y in range(h):
-            for z in range(w):
+            for z in range(wd):
                 acc = float(bias[o])
-                for c in range(in_ch):
-                    for i in range(kh):
-                        for j in range(kw):
-                            yy, zz = y + i - ph, z + j - pw
-                            if 0 <= yy < h and 0 <= zz < w:
-                                acc += float(weights[o, c, i, j]) * float(x[c, yy, zz])
+                for i in range(kh):
+                    for j in range(kw):
+                        yy, zz = y + i - ph, z + j - pw
+                        if 0 <= yy < h and 0 <= zz < wd:
+                            acc += float((w[o, :, i, j] * x[:, yy, zz]).sum())
+                            gw[o, :, i, j] += float(g[o, y, z]) * x[:, yy, zz]
+                            gi[:, yy, zz] += float(g[o, y, z]) * w[o, :, i, j]
                 out[o, y, z] = acc
-    return out
+    return out, gi, gw
 
 
 def random_instance(rng, in_ch=None, out_ch=None, k=3, h=4, w=4, dtype=np.float32):
@@ -58,7 +73,7 @@ class TestConvForward:
         kernel = ConvKernel(np.ones((1, 1, 3, 3), np.float32),
                             np.zeros(1, np.float32))
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]], np.float32)
-        expected = conv_reference(x, kernel.weights, kernel.bias)
+        expected, _, _ = conv_reference(x, kernel.weights, kernel.bias)
         # every 3x3 window covers the whole 2x2 image under zero padding
         assert np.array_equal(expected, np.full((1, 2, 2), 10.0))
         assert np.allclose(conv2d_forward(x, kernel), expected)
@@ -68,7 +83,7 @@ class TestConvForward:
         for _ in range(10):
             x, kernel = random_instance(rng)
             got = conv2d_forward(x, kernel)
-            want = conv_reference(x, kernel.weights, kernel.bias)
+            want, _, _ = conv_reference(x, kernel.weights, kernel.bias)
             assert np.allclose(got, want, rtol=1e-5, atol=1e-6)
 
     def test_linear_in_input_and_weights(self):
@@ -160,6 +175,58 @@ class TestConvBackward:
                 fd = finite_diff_grad(f, kernel.bias, step=1e-3)
             denom = np.maximum(np.abs(fd), 1e-4)
             assert (np.abs(analytic - fd) / denom).max() < 1e-3
+
+
+# (in_ch, out_ch, k, h, w): few-channel cases stack every tap into one
+# GEMM, many-channel cases run one GEMM per tap; inputs are non-square
+WINDOW_CASES = [(3, 4, 3, 5, 7), (7, 2, 3, 6, 3), (8, 2, 3, 3, 6),
+                (32, 3, 3, 4, 6), (40, 2, 1, 3, 5), (80, 2, 1, 5, 2)]
+
+
+class TestConvAgainstWindowReference:
+    def test_cases_cover_both_gemm_groupings(self):
+        stacked = {c * k * k <= ndtensor._STACKED_MAX_K
+                   for c, _, k, _, _ in WINDOW_CASES}
+        assert stacked == {True, False}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_forward_and_gradients(self, case, dtype):
+        in_ch, out_ch, k, h, w = case
+        rng = np.random.default_rng(in_ch * 100 + k)
+        x, kernel = random_instance(rng, in_ch, out_ch, k, h, w, dtype)
+        g = rng.standard_normal((out_ch, h, w))
+        want_y, want_gi, want_gw = conv_reference(x, kernel.weights, kernel.bias, g)
+        y = conv2d_forward(x, kernel)
+        gi, gw, gb = conv2d_backward(x, kernel, g)
+        assert y.dtype == dtype
+        assert gi.dtype == gw.dtype == gb.dtype == np.float64
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        assert np.allclose(y, want_y, rtol=tol, atol=tol)
+        assert np.allclose(gi, want_gi, rtol=1e-12, atol=1e-12)
+        assert np.allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+        assert np.allclose(gb, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
+
+    def test_layer1_memory_stays_below_unfolded_columns(self):
+        # the meta-learner's second layer at 128x128: an unfolded column
+        # matrix alone would take 9*C*H*W float64 values (302 MB)
+        rng = np.random.default_rng(9)
+        in_ch, out_ch, h, w = 256, 128, 128, 128
+        x = rng.standard_normal((in_ch, h, w), dtype=np.float32)
+        kernel = ConvKernel(
+            rng.standard_normal((out_ch, in_ch, 3, 3), dtype=np.float32) * 0.02,
+            np.zeros(out_ch, np.float32))
+        g = rng.standard_normal((out_ch, h, w), dtype=np.float32)
+        bound = 9 * in_ch * h * w * 8 // 2
+        for step in (lambda: conv2d_forward(x, kernel),
+                     lambda: conv2d_backward(x, kernel, g)):
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestActivations:
