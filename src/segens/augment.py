@@ -1,10 +1,11 @@
 """Offline affine augmentation of image/mask pairs.
 
 Each generated sample applies, in order: an optional horizontal mirror,
-a rotation about the image center, and a center zoom. The image is
-resampled bilinearly and the mask with nearest-neighbor (so masks stay
-strictly binary); samples falling outside the source take value 0, and
-zoom factors below 1 pad the exposed border with 0. Coordinates use
+a rotation about the image center, and a center zoom. Both go through
+``imageio.sample``: the image bilinearly and the mask with
+nearest-neighbor (so masks stay strictly binary), with the "zero" border
+rule, so samples falling outside the source take value 0 and zoom
+factors below 1 pad the exposed border with 0. Coordinates use
 half-pixel centers.
 
 Generation is deterministic and order-independent: the RNG stream for
@@ -21,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .imageio import ManifestRecord, load_gray, load_mask, store_gray, store_mask
+from .imageio import (ManifestRecord, load_gray, load_mask, sample, store_gray,
+                      store_mask)
 
 
 @dataclass(frozen=True)
@@ -64,38 +66,6 @@ def mirror(image, mask):
     return img[:, ::-1].copy(), msk[:, ::-1].copy()
 
 
-def _sample_nearest(arr, sy, sx):
-    h, w = arr.shape
-    iy = np.floor(sy).astype(np.int64)
-    ix = np.floor(sx).astype(np.int64)
-    valid = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    out = np.zeros(sy.shape, dtype=arr.dtype)
-    out[valid] = arr[iy[valid], ix[valid]]
-    return out
-
-
-def _sample_bilinear(arr, sy, sx):
-    h, w = arr.shape
-    u = sy - 0.5
-    v = sx - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    fy = u - i0
-    fx = v - j0
-    acc = np.zeros(sy.shape, dtype=np.float64)
-    src = arr.astype(np.float64)
-    for di, wy in ((0, 1.0 - fy), (1, fy)):
-        for dj, wx in ((0, 1.0 - fx), (1, fx)):
-            ii = i0 + di
-            jj = j0 + dj
-            ok = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-            vals = np.where(ok, src[np.clip(ii, 0, h - 1), np.clip(jj, 0, w - 1)], 0.0)
-            acc += wy * wx * vals
-    if arr.dtype == np.uint8:
-        return np.clip(np.floor(acc + 0.5), 0, 255).astype(np.uint8)
-    return acc.astype(np.float32)
-
-
 def _resample_pair(image, mask, inv):
     """Apply the inverse-map affine ``inv`` (2x2, row/col) about the center."""
     h, w = image.shape
@@ -105,7 +75,8 @@ def _resample_pair(image, mask, inv):
     dx = cols - cx
     sy = inv[0][0] * dy + inv[0][1] * dx + cy
     sx = inv[1][0] * dy + inv[1][1] * dx + cx
-    return _sample_bilinear(image, sy, sx), _sample_nearest(mask, sy, sx)
+    return (sample(image, sy, sx, "bilinear", "zero"),
+            sample(mask, sy, sx, "nearest", "zero"))
 
 
 def rotate(image, mask, angle_degrees):

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DecodeError, NumericError, ShapeMismatchError
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
-from .metrics import check_probabilities
+from .metrics import check_probabilities, confusion, scalar_metrics
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
                        conv2d_forward, relu_forward_backward,
@@ -257,11 +257,10 @@ class TrainRun:
 
 
 def _hard_dice(prediction, gt_mask):
-    pred = prediction >= 0.5
-    gt = np.asarray(gt_mask).astype(bool)
-    inter = int((pred & gt).sum())
-    total = int(pred.sum()) + int(gt.sum())
-    return 1.0 if total == 0 else 2.0 * inter / total
+    # both masks empty scores 1.0, not metrics' 0/0 -> 0, so that a
+    # dice_target can be met on empty samples
+    c = confusion(binarize(prediction), gt_mask)
+    return scalar_metrics(c)["dice"] if c.tp + c.fp + c.fn else 1.0
 
 
 def _prepare_pairs(pairs, boundary, what):

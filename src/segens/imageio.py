@@ -316,14 +316,59 @@ def load_feature_stack(path):
 
 
 # ---------------------------------------------------------------------------
-# Resizing
+# Resampling
+
+def _gather(arr, ii, jj, border):
+    h, w = arr.shape
+    vals = arr[np.clip(ii, 0, h - 1), np.clip(jj, 0, w - 1)]
+    if border == "zero":
+        inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+        vals = np.where(inside, vals, arr.dtype.type(0))
+    return vals
+
+
+def sample(arr, sy, sx, mode, border):
+    """Read the 2-D array ``arr`` at source coordinates (``sy``, ``sx``).
+
+    Coordinates use half-pixel centers: pixel (i, j) covers
+    [i, i + 1) x [j, j + 1) and its center is (i + 0.5, j + 0.5). ``sy``
+    and ``sx`` are full grids or broadcastable row/column vectors.
+    ``mode`` "nearest" returns the covering pixel in ``arr``'s dtype;
+    "bilinear" blends the four nearest centers, rounding half up for
+    uint8 and returning float32 otherwise. ``border`` says what lies
+    outside the array: "clamp" repeats the edge pixels, "zero" is 0.
+    """
+    if border not in ("clamp", "zero"):
+        raise ValueError(f"unknown border rule {border!r}")
+    if mode == "nearest":
+        return _gather(arr, np.floor(sy).astype(np.int64),
+                       np.floor(sx).astype(np.int64), border)
+    if mode != "bilinear":
+        raise ValueError(f"unknown resampling mode {mode!r}")
+    u = sy - 0.5
+    v = sx - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    fy = u - i0
+    fx = v - j0
+    acc = np.zeros(np.broadcast_shapes(np.shape(sy), np.shape(sx)))
+    src = arr.astype(np.float64)
+    for di, wy in ((0, 1.0 - fy), (1, fy)):
+        for dj, wx in ((0, 1.0 - fx), (1, fx)):
+            vals = _gather(src, i0 + di, j0 + dj, border)
+            acc += wy * wx * vals
+    if arr.dtype == np.uint8:
+        return np.clip(np.floor(acc + 0.5), 0, 255).astype(np.uint8)
+    return acc.astype(np.float32)
+
 
 def resize(image, size=(256, 256), mode="bilinear"):
     """Resample to ``size`` (height, width).
 
     ``mode`` is "bilinear" for gray images and probability maps (values
     stay in range) or "nearest" for masks (binarity is preserved). Source
-    coordinates use the half-pixel-center convention.
+    coordinates use the half-pixel-center convention, and samples past
+    the edge take the value of the nearest edge pixel (clamp-to-edge).
     """
     arr = np.asarray(image)
     if arr.ndim != 2:
@@ -332,31 +377,9 @@ def resize(image, size=(256, 256), mode="bilinear"):
     oh, ow = int(size[0]), int(size[1])
     if h == 0 or w == 0 or oh <= 0 or ow <= 0:
         raise ValueError(f"cannot resize {h}x{w} to {oh}x{ow}")
-
-    if mode == "nearest":
-        rows = np.minimum((np.arange(oh) + 0.5) * (h / oh), h - 1).astype(np.int64)
-        cols = np.minimum((np.arange(ow) + 0.5) * (w / ow), w - 1).astype(np.int64)
-        return arr[rows[:, None], cols[None, :]].copy()
-    if mode != "bilinear":
-        raise ValueError(f"unknown resize mode {mode!r}")
-
-    sy = (np.arange(oh) + 0.5) * (h / oh) - 0.5
-    sx = (np.arange(ow) + 0.5) * (w / ow) - 0.5
-    y0 = np.floor(sy)
-    x0 = np.floor(sx)
-    fy = (sy - y0)[:, None]
-    fx = (sx - x0)[None, :]
-    y0 = np.clip(y0.astype(np.int64), 0, h - 1)
-    x0 = np.clip(x0.astype(np.int64), 0, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    src = arr.astype(np.float64)
-    top = src[y0[:, None], x0[None, :]] * (1 - fx) + src[y0[:, None], x1[None, :]] * fx
-    bot = src[y1[:, None], x0[None, :]] * (1 - fx) + src[y1[:, None], x1[None, :]] * fx
-    out = top * (1 - fy) + bot * fy
-    if arr.dtype == np.uint8:
-        return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-    return out.astype(np.float32)
+    sy = ((np.arange(oh) + 0.5) * (h / oh))[:, None]
+    sx = ((np.arange(ow) + 0.5) * (w / ow))[None, :]
+    return sample(arr, sy, sx, mode, "clamp")
 
 
 # ---------------------------------------------------------------------------

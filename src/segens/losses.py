@@ -119,12 +119,7 @@ def focal_tversky_loss(target, prediction, config=None):
     cfg = config or TverskyConfig()
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(prediction, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ShapeMismatchError(
-            f"target shape {t.shape} != prediction shape {p.shape}")
-    tp = float((t * p).sum())
-    fn = float((t * (1.0 - p)).sum())
-    fp = float(((1.0 - t) * p).sum())
+    tp, fn, fp = _soft_counts(t, p)
     num = tp + cfg.smooth
     den = tp + cfg.fn_weight * fn + (1.0 - cfg.fn_weight) * fp + cfg.smooth
     ti = num / den

@@ -165,6 +165,7 @@ def pr_roc_curves(predictions, ground_truths, thresholds=None):
     fg_parts, bg_parts = [], []
     for idx, (p, g) in enumerate(zip(preds, gts)):
         p = np.asarray(p, dtype=np.float64)
+        check_probabilities(p, f"prediction {idx}")
         gb = _as_binary(g, f"ground truth {idx}")
         if p.shape != gb.shape:
             raise ShapeMismatchError(
@@ -224,20 +225,20 @@ def mask_level_match(pred, gt, iou_threshold=0.5):
     The below-threshold overlap case yields fp=1 and fn=1, which is why
     the result is a ConfusionCounts rather than a single label.
     """
-    p = _as_binary(pred, "pred")
-    g = _as_binary(gt, "gt")
-    if p.shape != g.shape:
-        raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    p_any, g_any = bool(p.any()), bool(g.any())
+    return _match_counts(confusion(pred, gt), iou_threshold)
+
+
+def _match_counts(c, iou_threshold):
+    """``mask_level_match`` from the pixel tallies of the pair: the
+    intersection is tp and the union tp + fp + fn."""
+    p_any, g_any = c.tp + c.fp > 0, c.tp + c.fn > 0
     if not p_any and not g_any:
         return ConfusionCounts(0, 0, 0, 1)
     if p_any and not g_any:
         return ConfusionCounts(0, 1, 0, 0)
     if not p_any and g_any:
         return ConfusionCounts(0, 0, 1, 0)
-    inter = int((p & g).sum())
-    union = int((p | g).sum())
-    if inter / union > iou_threshold:
+    if c.tp / (c.tp + c.fp + c.fn) > iou_threshold:
         return ConfusionCounts(1, 0, 0, 0)
     return ConfusionCounts(0, 1, 1, 0)
 
@@ -319,16 +320,15 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
+    curve = pr_roc_curves(preds, gts, thresholds=curve_thresholds)
     per_image = []
     pooled = ConfusionCounts(0, 0, 0, 0)
     match_tally = ConfusionCounts(0, 0, 0, 0)
     for idx, (p, g) in enumerate(zip(preds, gts)):
-        p = np.asarray(p, dtype=np.float64)
-        check_probabilities(p, f"prediction {idx}")
-        mask = (p >= threshold).astype(np.uint8)
+        mask = (np.asarray(p, dtype=np.float64) >= threshold).astype(np.uint8)
         c = confusion(mask, g)
         pooled = pooled + c
-        m = mask_level_match(mask, g, iou_match_threshold)
+        m = _match_counts(c, iou_match_threshold)
         match_tally = match_tally + m
         row = {"index": idx}
         row.update(scalar_metrics(c))
@@ -337,7 +337,6 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
         per_image.append(row)
 
     aggregate = scalar_metrics(pooled)
-    curve = pr_roc_curves(preds, gts, thresholds=curve_thresholds)
     n = int(ci_n) if ci_n is not None else len(preds)
     wald = stats.wald_ci(aggregate["dice"], n)
     cp = stats.clopper_pearson_ci(aggregate["dice"] * n, n)

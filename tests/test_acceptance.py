@@ -292,18 +292,20 @@ def test_criterion_7_fusion_algebra():
     codes = np.arange(512)
     bits = ((codes[:, None] >> np.arange(9)) & 1).astype(np.uint8)
     masks = bits.reshape(512, 3, 3)
-    ok = True
-    for i in range(512):
-        a = masks[i]
-        ab = a.astype(bool)
-        for j in range(512):
-            b = masks[j]
-            fused_and = ensemble.fuse_and([a, b]).astype(bool)
-            fused_or = ensemble.fuse_or([a, b]).astype(bool)
-            bb = b.astype(bool)
-            if not ((fused_and <= ab).all() and (fused_and <= bb).all()
-                    and (ab <= fused_or).all() and (bb <= fused_or).all()):
-                ok = False
+    # Fusion is pixelwise, so two 1536x1536 mosaics carry every ordered
+    # pair at once: block (i, j) of a is mask i, block (i, j) of b mask j.
+    a = np.broadcast_to(masks[:, None], (512, 512, 3, 3))
+    b = np.broadcast_to(masks[None, :], (512, 512, 3, 3))
+    a, b = (m.transpose(0, 2, 1, 3).reshape(1536, 1536) for m in (a, b))
+    block_codes = [m.reshape(512, 3, 512, 3).transpose(0, 2, 1, 3)
+                   .reshape(512, 512, 9) @ (1 << np.arange(9)) for m in (a, b)]
+    assert (block_codes[0] == codes[:, None]).all()
+    assert (block_codes[1] == codes[None, :]).all()
+    fused_and = ensemble.fuse_and([a, b]).astype(bool)
+    fused_or = ensemble.fuse_or([a, b]).astype(bool)
+    ab, bb = a.astype(bool), b.astype(bool)
+    ok = bool((fused_and <= ab).all() and (fused_and <= bb).all()
+              and (ab <= fused_or).all() and (bb <= fused_or).all())
     report(7, "fuse_and <= inputs <= fuse_or on all 262,144 pairs of "
               "3x3 masks", ok)
 

@@ -275,6 +275,19 @@ class TestTraining:
         assert len(run.train_loss) < 60
         assert run.train_dice[-1] > 0.9
 
+    def test_both_empty_sample_scores_dice_one(self):
+        init = build_metalearner(2, seed=0)
+        head = init.layers[-1]
+        # a zero head with a strongly negative bias predicts empty masks
+        layers = init.layers[:-1] + (
+            ConvKernel(np.zeros_like(head.weights), np.full(1, -20.0, np.float32)),)
+        stack = np.random.default_rng(3).random((2, 8, 8)).astype(np.float32)
+        _, run = train_metalearner(
+            [(stack, np.zeros((8, 8), np.uint8))],
+            hyper=HyperParams(epochs=1, batch_size=1, seed=0),
+            init_params=MetaLearnerParams(layers=layers))
+        assert run.train_dice == [1.0]
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -1,5 +1,6 @@
 """Round trips, decode errors, resizing, and manifest splits."""
 
+import math
 import struct
 import zlib
 
@@ -10,8 +11,9 @@ from segens import imageio
 from segens.errors import DecodeError
 from segens.imageio import (ManifestRecord, load_feature_stack, load_gray,
                             load_mask, load_probmap, read_manifest, resize,
-                            split_manifest, store_feature_stack, store_gray,
-                            store_mask, store_probmap, write_manifest)
+                            sample, split_manifest, store_feature_stack,
+                            store_gray, store_mask, store_probmap,
+                            write_manifest)
 
 
 @pytest.fixture
@@ -290,6 +292,74 @@ class TestResize:
     def test_zero_sized_input_rejected(self):
         with pytest.raises(ValueError):
             resize(np.zeros((0, 4), np.uint8), (8, 8))
+
+    def test_upsampling_clamps_the_low_edge(self):
+        out = resize(np.array([[0.0], [1.0]]), (4, 1))
+        assert np.array_equal(out[:, 0], np.array([0, 0.25, 0.75, 1.0], np.float32))
+
+
+def reference_sample(arr, sy, sx, mode, border):
+    """Per-pixel ``sample`` with the same arithmetic order."""
+    h, w = arr.shape
+
+    def at(i, j):
+        if border == "clamp":
+            return float(arr[min(max(i, 0), h - 1), min(max(j, 0), w - 1)])
+        return float(arr[i, j]) if 0 <= i < h and 0 <= j < w else 0.0
+
+    if mode == "nearest" or arr.dtype == np.uint8:
+        out = np.zeros(sy.shape, arr.dtype)
+    else:
+        out = np.zeros(sy.shape, np.float32)
+    for k in np.ndindex(sy.shape):
+        y, x = float(sy[k]), float(sx[k])
+        if mode == "nearest":
+            out[k] = at(math.floor(y), math.floor(x))
+            continue
+        i, j = math.floor(y - 0.5), math.floor(x - 0.5)
+        fy, fx = y - 0.5 - i, x - 0.5 - j
+        acc = 0.0
+        for di, wy in ((0, 1.0 - fy), (1, fy)):
+            for dj, wx in ((0, 1.0 - fx), (1, fx)):
+                acc += wy * wx * at(i + di, j + dj)
+        out[k] = min(max(math.floor(acc + 0.5), 0), 255) if arr.dtype == np.uint8 else acc
+    return out
+
+
+class TestSample:
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    @pytest.mark.parametrize("border", ["clamp", "zero"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_matches_per_pixel_reference(self, rng, mode, border, dtype):
+        for h, w in ((1, 1), (3, 5), (6, 4)):
+            if dtype == np.uint8:
+                arr = rng.integers(0, 256, (h, w)).astype(np.uint8)
+            else:
+                arr = rng.random((h, w)).astype(np.float32)
+            # on, inside and beyond every edge, plus pixel centers and
+            # random interior points
+            ys = np.concatenate([[-1.7, -0.5, 0.0, 0.25, 0.5, h - 0.5, h, h + 0.5, h + 2.3],
+                                 rng.uniform(0, h, 4)])
+            xs = np.concatenate([[-2.2, -0.5, 0.0, 0.5, 0.75, w - 0.5, w, w + 0.5, w + 1.1],
+                                 rng.uniform(0, w, 4)])
+            sy, sx = np.meshgrid(ys, xs, indexing="ij")
+            out = sample(arr, sy, sx, mode, border)
+            want = reference_sample(arr, sy, sx, mode, border)
+            assert out.dtype == want.dtype
+            assert np.array_equal(out, want)
+            vectors = sample(arr, ys[:, None], xs[None, :], mode, border)
+            assert np.array_equal(vectors, want)
+
+    def test_uint8_rounds_half_up(self):
+        arr = np.array([[0, 1]], np.uint8)
+        assert sample(arr, np.array([0.5]), np.array([1.0]), "bilinear", "clamp")[0] == 1
+
+    def test_unknown_mode_and_border_rejected(self):
+        arr = np.zeros((2, 2), np.uint8)
+        with pytest.raises(ValueError, match="mode"):
+            sample(arr, np.zeros(1), np.zeros(1), "cubic", "clamp")
+        with pytest.raises(ValueError, match="border"):
+            sample(arr, np.zeros(1), np.zeros(1), "nearest", "wrap")
 
 
 class TestManifest:

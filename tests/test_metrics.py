@@ -167,6 +167,16 @@ class TestCurves:
         assert (np.diff(curve.thresholds) < 0).all()
         assert (np.diff(curve.recall) >= 0).all()
 
+    @pytest.mark.parametrize("bad, error", [(np.nan, NumericError),
+                                            (np.inf, NumericError),
+                                            (1.7, ValueError)])
+    def test_invalid_prediction_rejected(self, bad, error):
+        preds = [np.full((2, 2), 0.25), np.full((2, 2), 0.75)]
+        preds[1][1, 0] = bad
+        gts = [np.eye(2, dtype=np.uint8)] * 2
+        with pytest.raises(error, match="prediction 1"):
+            pr_roc_curves(preds, gts)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             pr_roc_curves([], [])
@@ -263,6 +273,32 @@ class TestMaskLevelMatch:
         pred = gt.copy()
         pred[0, 0] = 0  # IoU 3/4
         assert mask_level_match(pred, gt) == ConfusionCounts(1, 0, 0, 0)
+
+
+    def test_agrees_with_classification_from_confusion(self):
+        rng = np.random.default_rng(236)
+        labels = set()
+        half = 0
+        for _ in range(2000):
+            shape = tuple(rng.integers(1, 4, 2))
+            pred = (rng.random(shape) < rng.random()).astype(np.uint8)
+            gt = (rng.random(shape) < rng.random()).astype(np.uint8)
+            c = confusion(pred, gt)
+            union = c.tp + c.fp + c.fn
+            if union == 0:
+                want = ConfusionCounts(0, 0, 0, 1)
+            elif c.tp + c.fn == 0:
+                want = ConfusionCounts(0, 1, 0, 0)
+            elif c.tp + c.fp == 0:
+                want = ConfusionCounts(0, 0, 1, 0)
+            elif 2 * c.tp > union:
+                want = ConfusionCounts(1, 0, 0, 0)
+            else:
+                want = ConfusionCounts(0, 1, 1, 0)
+            half += c.tp > 0 and 2 * c.tp == union
+            labels.add(want)
+            assert mask_level_match(pred, gt) == want
+        assert len(labels) == 5 and half > 0
 
 
 class TestEvaluatePairs:
