@@ -179,8 +179,10 @@ def _load_eval_inputs(args):
 
 def _cmd_eval(args):
     pred_paths, gt_paths = _load_eval_inputs(args)
-    preds = [imageio.load_probmap(p) for p in pred_paths]
-    gts = [imageio.load_mask(p) for p in gt_paths]
+    # Files load as they are scored, one pair at a time, so memory does not
+    # grow with the image count and the first defective pair sets the exit.
+    preds = (imageio.load_probmap(p) for p in pred_paths)
+    gts = (imageio.load_mask(p) for p in gt_paths)
     report, curve = metrics.evaluate_pairs(preds, gts, threshold=args.threshold,
                                            ci_n=args.ci_n)
     if args.curves:

@@ -174,6 +174,9 @@ def _decode_png(data, path=None):
                                   offset=pos, path=path)
             width, height, depth, color, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", payload)
+            if not (0 < width < 2**31 and 0 < height < 2**31):
+                raise DecodeError(f"bad PNG dimensions {width}x{height}",
+                                  offset=dstart, path=path)
             if depth != 8:
                 raise DecodeError(f"unsupported PNG bit depth {depth} (need 8)",
                                   offset=dstart + 8, path=path)
@@ -194,12 +197,20 @@ def _decode_png(data, path=None):
         pos = dend + 4
     if width is None:
         raise DecodeError("PNG missing IHDR", offset=8, path=path)
+    expected = (width + 1) * height
+    # Inflate at most one byte past the expected size, so a small file
+    # cannot expand to gigabytes before the length check rejects it.
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise DecodeError(f"PNG IDAT decompression failed: {exc}",
                           path=path) from None
-    expected = (width + 1) * height
+    if len(raw) > expected:
+        raise DecodeError(f"PNG pixel data exceeds the expected {expected} bytes",
+                          path=path)
+    if not inflater.eof:
+        raise DecodeError("PNG IDAT stream is incomplete", path=path)
     if len(raw) != expected:
         raise DecodeError(
             f"PNG pixel data length {len(raw)} != expected {expected}",
@@ -262,7 +273,7 @@ def store_mask(mask, path):
 
 def load_probmap(path):
     """Load a probability map stored as 8-bit intensities (value/255)."""
-    return (load_gray(path).astype(np.float32) / np.float32(255.0)).astype(np.float32)
+    return load_gray(path).astype(np.float32) / np.float32(255.0)
 
 
 def store_probmap(probmap, path):

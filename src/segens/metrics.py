@@ -60,9 +60,10 @@ def _as_binary(x, name):
     arr = np.asarray(x)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
+    mask = arr.astype(bool)
+    if not np.array_equal(arr, mask):  # equal only where every value is 0 or 1
         raise ValueError(f"{name} must contain only 0/1 values")
-    return arr.astype(bool)
+    return mask
 
 
 def check_probabilities(p, name):
@@ -84,11 +85,15 @@ def confusion(pred, gt):
     g = _as_binary(gt, "gt")
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
-    tp = int((p & g).sum())
-    fp = int((p & ~g).sum())
-    fn = int((~p & g).sum())
-    tn = int((~p & ~g).sum())
-    return ConfusionCounts(tp, fp, fn, tn)
+    return _counts(p, g)
+
+
+def _counts(pb, gb):
+    """Confusion tallies of two bool arrays of one shape."""
+    tp = int(np.count_nonzero(pb & gb))
+    n_pred, n_gt = int(np.count_nonzero(pb)), int(np.count_nonzero(gb))
+    return ConfusionCounts(tp, n_pred - tp, n_gt - tp,
+                           pb.size - n_pred - n_gt + tp)
 
 
 def _ratio(num, den):
@@ -154,28 +159,37 @@ def default_threshold_grid():
     return np.linspace(0.0, 1.0, 101)
 
 
-def pr_roc_curves(predictions, ground_truths, thresholds=None):
-    """Pool pixels over the image set and sweep binarization thresholds."""
-    preds = list(predictions)
-    gts = list(ground_truths)
-    if not preds or len(preds) != len(gts):
-        raise ValueError(
-            f"need equal non-empty prediction/ground-truth lists, "
-            f"got {len(preds)} and {len(gts)}")
-    fg_parts, bg_parts = [], []
-    for idx, (p, g) in enumerate(zip(preds, gts)):
+_END = object()
+
+
+def _checked_pairs(predictions, ground_truths):
+    """Yield each input pair, checked once, as (float64 prediction, bool
+    mask), reading both iterables in step. ValueError when either runs
+    out first or both are empty."""
+    gts = iter(ground_truths)
+    count = 0
+    for idx, p in enumerate(predictions):
+        g = next(gts, _END)
+        if g is _END:
+            raise ValueError(f"more predictions than the {idx} ground truths")
         p = np.asarray(p, dtype=np.float64)
         check_probabilities(p, f"prediction {idx}")
         gb = _as_binary(g, f"ground truth {idx}")
         if p.shape != gb.shape:
             raise ShapeMismatchError(
                 f"image {idx}: prediction shape {p.shape} != mask shape {gb.shape}")
-        fg_parts.append(p[gb])
-        bg_parts.append(p[~gb])
-    fg = np.sort(np.concatenate(fg_parts))
-    bg = np.sort(np.concatenate(bg_parts))
-    n_fg, n_bg = fg.size, bg.size
+        yield p, gb
+        count += 1
+    if next(gts, _END) is not _END:
+        raise ValueError(f"more ground truths than the {count} predictions")
+    if count == 0:
+        raise ValueError("need at least one prediction/ground-truth pair")
 
+
+def _pooled_curve(pairs, thresholds):
+    """Pooled curve of checked pairs. A pooled count of pixels with p >= t
+    is the sum of per-image counts, so summing each image's integer tp/fp
+    per threshold is exact and holds one image at a time."""
     if thresholds is None:
         grid = default_threshold_grid()
     else:
@@ -185,13 +199,30 @@ def pr_roc_curves(predictions, ground_truths, thresholds=None):
         grid = np.unique(grid)
     grid = grid[::-1]  # strictly decreasing
 
-    tp = n_fg - np.searchsorted(fg, grid, side="left")
-    fp = n_bg - np.searchsorted(bg, grid, side="left")
+    tp = fp = n_fg = n_bg = 0
+    for p, gb in pairs:
+        fg, bg = p[gb], p[~gb]  # fresh copies, so they sort in place
+        fg.sort()
+        bg.sort()
+        tp = tp + fg.size - np.searchsorted(fg, grid, side="left")
+        fp = fp + bg.size - np.searchsorted(bg, grid, side="left")
+        n_fg += fg.size
+        n_bg += bg.size
     precision = np.array([_ratio(t, t + f) for t, f in zip(tp, fp)])
     recall = np.array([_ratio(t, n_fg) for t in tp])
     fpr = np.array([_ratio(f, n_bg) for f in fp])
     return Curve(thresholds=grid, precision=precision, recall=recall,
                  tpr=recall.copy(), fpr=fpr)
+
+
+def pr_roc_curves(predictions, ground_truths, thresholds=None):
+    """Pool pixels over the image set and sweep binarization thresholds.
+
+    ``predictions`` and ``ground_truths`` are iterables (lists or
+    generators) read once, in step, one pair at a time, so memory holds
+    one image plus the threshold grid whatever the image count.
+    """
+    return _pooled_curve(_checked_pairs(predictions, ground_truths), thresholds)
 
 
 def write_curve_csv(curve, path):
@@ -305,28 +336,34 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
                    curve_thresholds=None, iou_match_threshold=0.5):
     """Full evaluation of probability maps against hard masks.
 
+    ``predictions`` and ``ground_truths`` are iterables (lists or
+    generators) read once, in step: each pair is checked, tallied into
+    the pooled curve and the confusion counts, and dropped before the
+    next is read, so memory holds one image plus the threshold grid and
+    the per-image rows. The first defective pair in input order raises.
     Aggregate scalars come from pooled pixel counts at ``threshold``;
     per-image (macro) means are reported alongside. Confidence intervals
     for the aggregate Dice treat it as a proportion over ``ci_n`` trials
     (default: the image count) and carry both Wald and Clopper-Pearson
     variants with method tags.
     """
-    preds = list(predictions)
-    gts = list(ground_truths)
-    if not preds or len(preds) != len(gts):
-        raise ValueError(
-            f"need equal non-empty prediction/ground-truth lists, "
-            f"got {len(preds)} and {len(gts)}")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
-    curve = pr_roc_curves(preds, gts, thresholds=curve_thresholds)
+    counts = []
+
+    def with_hard_counts(pairs):
+        for p, gb in pairs:
+            counts.append(_counts(p >= threshold, gb))
+            yield p, gb
+
+    curve = _pooled_curve(
+        with_hard_counts(_checked_pairs(predictions, ground_truths)),
+        curve_thresholds)
     per_image = []
     pooled = ConfusionCounts(0, 0, 0, 0)
     match_tally = ConfusionCounts(0, 0, 0, 0)
-    for idx, (p, g) in enumerate(zip(preds, gts)):
-        mask = (np.asarray(p, dtype=np.float64) >= threshold).astype(np.uint8)
-        c = confusion(mask, g)
+    for idx, c in enumerate(counts):
         pooled = pooled + c
         m = _match_counts(c, iou_match_threshold)
         match_tally = match_tally + m
@@ -337,7 +374,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
         per_image.append(row)
 
     aggregate = scalar_metrics(pooled)
-    n = int(ci_n) if ci_n is not None else len(preds)
+    n = int(ci_n) if ci_n is not None else len(per_image)
     wald = stats.wald_ci(aggregate["dice"], n)
     cp = stats.clopper_pearson_ci(aggregate["dice"] * n, n)
     macro = {name: math.fsum(r[name] for r in per_image) / len(per_image)
@@ -351,7 +388,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
         auroc=auroc(curve),
         ci={"n": n, "wald": wald.to_dict(), "clopper_pearson": cp.to_dict()},
         threshold=float(threshold),
-        image_count=len(preds),
+        image_count=len(per_image),
         counts=pooled,
         macro=macro,
         mask_level={**match_tally.to_dict(),

@@ -333,6 +333,32 @@ class TestExitCodes:
                         + zlib.crc32(ihdr).to_bytes(4, "big"))
         assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
 
+    def test_zero_width_png_is_two(self, tmp_path):
+        # a 0x3 raster with its three filter bytes, complete and CRC-valid
+        chunks = [b"IHDR" + bytes(4) + (3).to_bytes(4, "big") + bytes([8, 0, 0, 0, 0]),
+                  b"IDAT" + zlib.compress(bytes(3)), b"IEND"]
+        bad = tmp_path / "empty.png"
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n" + b"".join(
+            (len(c) - 4).to_bytes(4, "big") + c + zlib.crc32(c).to_bytes(4, "big")
+            for c in chunks))
+        assert main(["eval", "--pred", str(bad), "--gt", str(bad)]) == 2
+
+    @pytest.mark.parametrize("defect, code", [("out of range", 1),
+                                              ("shape mismatch", 3)])
+    def test_first_defective_pair_sets_the_exit_code(self, tmp_path, rng,
+                                                     monkeypatch, defect, code):
+        # pair 0 is defective and pair 1's prediction does not decode; pairs
+        # load one at a time, so pair 0's error is the one reported
+        preds, gts = make_eval_fixture(tmp_path, rng, n=2)
+        (tmp_path / "pred1.pgm").write_bytes(b"NOTANIMAGE")
+        if defect == "shape mismatch":
+            imageio.store_mask(np.zeros((3, 3), np.uint8), gts[0])
+        else:
+            load = imageio.load_probmap
+            monkeypatch.setattr(imageio, "load_probmap", lambda path: (
+                np.full((16, 16), 1.7) if path == preds[0] else load(path)))
+        assert main(["eval", "--pred", *preds, "--gt", *gts]) == code
+
     def test_shape_mismatch_is_three(self, tmp_path, rng):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"

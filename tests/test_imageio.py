@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -193,6 +194,46 @@ class TestPng:
             load_gray(path)
         assert e.value.offset == 8
 
+    @staticmethod
+    def _gray_png(path, width, height, idat):
+        header = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", header)
+                         + _png_chunk(b"IDAT", idat) + _png_chunk(b"IEND", b""))
+        return path
+
+    @pytest.mark.parametrize("width, height, raw_size", [
+        (0, 3, 3), (3, 0, 0), (0, 0, 0), (2**32 - 1, 2**32 - 1, 0)])
+    def test_bad_dimensions_report_ihdr_offset(self, tmp_path, width, height,
+                                               raw_size):
+        # raw_size filter bytes would decode a zero-size raster as valid
+        path = self._gray_png(tmp_path / "dims.png", width, height,
+                              zlib.compress(bytes(raw_size)))
+        with pytest.raises(DecodeError, match="bad PNG dimensions") as e:
+            load_gray(path)
+        assert e.value.offset == 16  # IHDR payload: signature + chunk header
+
+    def test_oversized_idat_is_not_inflated(self, tmp_path):
+        # 64 MiB of zeros behind a 2x2 header; only 6 bytes are expected
+        deflate = zlib.compressobj()
+        block = bytes(1 << 20)
+        idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+        path = self._gray_png(tmp_path / "bomb.png", 2, 2, idat)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="exceeds the expected 6 bytes"):
+                load_gray(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_incomplete_idat_stream_rejected(self, tmp_path):
+        # all 6 pixel bytes are present; only the Adler-32 trailer is cut
+        idat = zlib.compress(b"\x00\x01\x02" * 2)[:-4]
+        path = self._gray_png(tmp_path / "cut.png", 2, 2, idat)
+        with pytest.raises(DecodeError, match="incomplete"):
+            load_gray(path)
+
     def test_crc_mismatch_detected(self, tmp_path, rng):
         img = rng.integers(0, 256, (4, 4), dtype=np.uint8)
         good = bytearray(_build_png(img, (0,)))
@@ -216,6 +257,14 @@ class TestProbMap:
         store_probmap(np.array([[0.5]], np.float32), path)
         assert path.read_bytes()[-1] == 128
         assert abs(load_probmap(path)[0, 0] - 128 / 255) < 1e-7
+
+    def test_every_level_loads_as_its_float32_ratio(self, tmp_path):
+        path = tmp_path / "levels.pgm"
+        store_gray(np.arange(256, dtype=np.uint8)[None, :], path)
+        back = load_probmap(path)
+        assert back.dtype == np.float32
+        want = np.arange(256, dtype=np.float32) / np.float32(255)
+        assert back.tobytes() == want.tobytes()
 
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -1,6 +1,7 @@
 """Confusion tallies, scalar metrics, curves, mAP/AUROC, mask matching."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ class TestConfusion:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             confusion(np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8))
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan])
+    def test_non_binary_values_rejected(self, bad):
+        gt = np.eye(3)
+        gt[2, 0] = bad
+        with pytest.raises(ValueError, match="gt must contain only 0/1"):
+            confusion(np.eye(3, dtype=np.uint8), gt)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+    def test_binary_values_of_any_dtype_accepted(self, dtype):
+        m = np.eye(3, dtype=dtype)
+        assert confusion(m, m) == ConfusionCounts(3, 0, 0, 6)
 
 
 class TestScalarMetrics:
@@ -358,3 +371,55 @@ class TestEvaluatePairs:
         preds, gts = self._fixture(2)
         _, curve = evaluate_pairs(preds, gts)
         assert curve.thresholds.size == 101
+
+
+class TestStreaming:
+    """Both entry points read any pair of iterables once, image by image."""
+
+    @staticmethod
+    def _maps(n, seed=60, size=12):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            gt = (rng.random((size, size)) > 0.6).astype(np.uint8)
+            yield (np.clip(gt + rng.normal(0, 0.3, gt.shape), 0, 1)
+                   .astype(np.float32), gt)
+
+    def _generators(self, n_pred, n_gt, size=12):
+        return ((p for p, _ in self._maps(n_pred, size=size)),
+                (g for _, g in self._maps(n_gt, size=size)))
+
+    def test_generator_input_matches_list_input(self):
+        preds, gts = map(list, zip(*self._maps(6)))
+        want, want_curve = evaluate_pairs(preds, gts, threshold=0.4)
+        got, got_curve = evaluate_pairs(*self._generators(6, 6), threshold=0.4)
+        assert got.to_dict() == want.to_dict()
+        curve = pr_roc_curves(*self._generators(6, 6))
+        for name in ("thresholds", "precision", "recall", "tpr", "fpr"):
+            assert np.array_equal(getattr(got_curve, name), getattr(want_curve, name))
+            assert np.array_equal(getattr(curve, name), getattr(want_curve, name))
+
+    @pytest.mark.parametrize("fn", [evaluate_pairs, pr_roc_curves])
+    def test_empty_generators_rejected(self, fn):
+        with pytest.raises(ValueError, match="at least one"):
+            fn(*self._generators(0, 0))
+
+    @pytest.mark.parametrize("fn", [evaluate_pairs, pr_roc_curves])
+    @pytest.mark.parametrize("n_pred, n_gt, longer", [
+        (3, 2, "predictions"), (2, 3, "ground truths"),
+        (1, 0, "predictions"), (0, 1, "ground truths")])
+    def test_unequal_length_generators_rejected(self, fn, n_pred, n_gt, longer):
+        with pytest.raises(ValueError, match=f"more {longer} than"):
+            fn(*self._generators(n_pred, n_gt))
+
+    def test_memory_does_not_grow_with_image_count(self):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                evaluate_pairs(*self._generators(n, n, size=64))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10), peak(200)
+        # holding every pixel would need about 20x the 10-image peak
+        assert large < 4 * small, (small, large)
