@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ShapeMismatchError
 from .imageio import (ManifestRecord, load_gray, load_mask, sample, store_gray,
                       store_mask)
+from .metrics import require_2d
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,8 @@ class AugmentConfig:
 
 
 def _check_pair(image, mask):
-    img = np.asarray(image)
-    msk = np.asarray(mask)
-    if img.ndim != 2 or msk.ndim != 2:
-        raise ShapeMismatchError("image and mask must be 2-D arrays")
+    img = require_2d(image, "image")
+    msk = require_2d(mask, "mask")
     if img.shape != msk.shape:
         raise ShapeMismatchError(
             f"image shape {img.shape} != mask shape {msk.shape}")

@@ -59,6 +59,7 @@ def _build_parser():
                    help="write the JSON report here (default: stdout)")
     p.add_argument("--curves", default=None,
                    help="write pooled curve points as CSV here")
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("fuse", help="fuse predicted masks or probability maps")
     p.add_argument("--method", required=True, choices=("and", "or", "max"))
@@ -68,6 +69,7 @@ def _build_parser():
                    help="binarization threshold (default: 0.5)")
     p.add_argument("--out-prob", default=None,
                    help="also write the fused probability map (max only)")
+    p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("stack", help="train or apply the stacking meta-learner")
     stack_sub = p.add_subparsers(dest="stack_command", required=True)
@@ -99,6 +101,7 @@ def _build_parser():
                    help="stop early once train Dice exceeds this")
     t.add_argument("--run", default=None,
                    help="training-history JSON (default: <params>.run.json)")
+    t.set_defaults(handler=_cmd_stack_train)
 
     q = stack_sub.add_parser("predict")
     q.add_argument("--manifest", required=True)
@@ -106,6 +109,7 @@ def _build_parser():
     q.add_argument("--outdir", required=True)
     q.add_argument("--split", default=None, choices=imageio.SPLITS,
                    help="restrict to one split (default: all records)")
+    q.set_defaults(handler=_cmd_stack_predict)
 
     p = sub.add_parser("augment", help="generate affine-augmented train pairs")
     p.add_argument("--manifest", required=True)
@@ -126,6 +130,7 @@ def _build_parser():
     p.add_argument("--mirror-prob", type=float, default=0.5,
                help="mirror probability in [0,1] (default: 0.5)")
     p.add_argument("--format", default="pgm", choices=("pgm", "png"))
+    p.set_defaults(handler=_cmd_augment)
 
     p = sub.add_parser("ci", help="confidence interval for a proportion-like score")
     p.add_argument("--dice", type=float, required=True,
@@ -135,6 +140,7 @@ def _build_parser():
     p.add_argument("--method", default="wald", choices=("wald", "cp"))
     p.add_argument("--level", type=float, default=0.95,
                help="confidence level in (0,1) (default: 0.95)")
+    p.set_defaults(handler=_cmd_ci)
 
     p = sub.add_parser("bu-preview",
                        help="write the boundary-uncertainty soft labels of a mask")
@@ -143,6 +149,7 @@ def _build_parser():
     p.add_argument("--zeta", dest="interior_label", type=float, default=0.9)
     p.add_argument("--omega", dest="exterior_label", type=float, default=0.1)
     p.add_argument("--iterations", type=int, default=1)
+    p.set_defaults(handler=_cmd_bu_preview)
     return parser
 
 
@@ -320,26 +327,12 @@ def _cmd_bu_preview(args):
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "fuse": _cmd_fuse,
-    "augment": _cmd_augment,
-    "ci": _cmd_ci,
-    "bu-preview": _cmd_bu_preview,
-}
-
-
 def main(argv=None):
     """Run one subcommand; returns the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "stack":
-            handler = _cmd_stack_train if args.stack_command == "train" \
-                else _cmd_stack_predict
-        else:
-            handler = _HANDLERS[args.command]
-        return handler(args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"segens: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,8 @@ import numpy as np
 from .errors import DecodeError, NumericError, ShapeMismatchError
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
-from .metrics import check_probabilities, confusion, scalar_metrics
+from .metrics import (check_probabilities, confusion, require_2d,
+                      scalar_metrics)
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
                        conv2d_forward, relu_forward_backward,
@@ -46,9 +47,7 @@ _KERNEL_SIZES = (3, 3, 3, 3, 1)
 def _image_list(masks):
     out = []
     for idx, m in enumerate(masks):
-        arr = np.asarray(m)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"mask {idx} must be 2-D, got {arr.shape}")
+        arr = require_2d(m, f"mask {idx}")
         if out and arr.shape != out[0].shape:
             raise ShapeMismatchError(
                 f"mask {idx} shape {arr.shape} != mask 0 shape {out[0].shape}")
@@ -158,20 +157,8 @@ def build_metalearner(in_channels, seed=0):
     return MetaLearnerParams(layers=tuple(layers), seed=seed)
 
 
-def _check_stack(params, stack):
-    arr = np.asarray(stack)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(
-            f"feature stack must be (C, H, W), got shape {arr.shape}")
-    if arr.shape[0] != params.in_channels:
-        raise ShapeMismatchError(
-            f"stack has {arr.shape[0]} channels but the meta-learner "
-            f"expects {params.in_channels}")
-    return arr
-
-
 def _forward(params, stack):
-    h = _check_stack(params, stack)
+    h = stack  # conv2d_forward checks its shape against the first layer
     cache = []
     for i, layer in enumerate(params.layers):
         z = conv2d_forward(h, layer)
@@ -200,7 +187,7 @@ def _loss_and_grads(params, stack, soft_target, tversky):
     g = dpred[None, :, :]
     for i in range(len(params.layers) - 1, -1, -1):
         h_in, local = cache[i]
-        gz = g * local.astype(np.float64)
+        gz = g * local
         g, gw, gb = conv2d_backward(h_in, params.layers[i], gz)
         grads[2 * i] = gw
         grads[2 * i + 1] = gb
@@ -242,15 +229,7 @@ class TrainRun:
     input_mode: str = "feature-stacks"
 
     def to_dict(self):
-        return {
-            "hyper": asdict(self.hyper),
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "train_dice": self.train_dice,
-            "best_epoch": self.best_epoch,
-            "input_channels": self.input_channels,
-            "input_mode": self.input_mode,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)

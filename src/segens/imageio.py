@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DecodeError, ShapeMismatchError
+from .metrics import as_binary, check_probabilities, require_2d
 
 SPLITS = ("train", "validation", "test")
 
@@ -249,10 +250,7 @@ def load_gray(path):
 
 def store_gray(image, path):
     """Write a uint8 (H, W) image; PNG when the path ends in .png, else PGM."""
-    arr = np.asarray(image)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"image must be 2-D, got shape {arr.shape}")
-    arr = arr.astype(np.uint8)
+    arr = require_2d(image, "image").astype(np.uint8)
     path = Path(path)
     data = _encode_png(arr) if path.suffix.lower() == ".png" else _encode_pgm(arr)
     path.write_bytes(data)
@@ -265,10 +263,7 @@ def load_mask(path):
 
 def store_mask(mask, path):
     """Write a {0,1} mask as 8-bit {0,255}."""
-    arr = np.asarray(mask)
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("mask values must be 0 or 1")
-    store_gray(arr.astype(np.uint8) * 255, path)
+    store_gray(as_binary(mask, "mask").astype(np.uint8) * 255, path)
 
 
 def load_probmap(path):
@@ -277,10 +272,13 @@ def load_probmap(path):
 
 
 def store_probmap(probmap, path):
-    """Quantize a [0,1] probability map to 8-bit, rounding half up."""
+    """Quantize a [0,1] probability map to 8-bit, rounding half up.
+
+    Non-finite values raise NumericError and values outside [0, 1]
+    ValueError, before any file is written.
+    """
     arr = np.asarray(probmap, dtype=np.float64)
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("probability map values must be in [0, 1]")
+    check_probabilities(arr, "probability map")
     store_gray(np.floor(arr * 255.0 + 0.5).astype(np.uint8), path)
 
 
@@ -381,9 +379,7 @@ def resize(image, size=(256, 256), mode="bilinear"):
     coordinates use the half-pixel-center convention, and samples past
     the edge take the value of the nearest edge pixel (clamp-to-edge).
     """
-    arr = np.asarray(image)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D image, got shape {arr.shape}")
+    arr = require_2d(image, "image")
     h, w = arr.shape
     oh, ow = int(size[0]), int(size[1])
     if h == 0 or w == 0 or oh <= 0 or ow <= 0:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .metrics import require_2d
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
 _SCALE_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -147,9 +148,7 @@ def ft_bu_loss(mask, prediction, tversky=None, boundary=None):
 # MS-SSIM and the mixed loss
 
 def _as_unit_image(x, name):
-    arr = np.asarray(x)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be a 2-D image, got shape {arr.shape}")
+    arr = require_2d(x, name)
     if arr.dtype == np.uint8:
         return arr.astype(np.float64) / 255.0
     return arr.astype(np.float64)

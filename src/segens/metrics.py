@@ -56,13 +56,21 @@ class ConfusionCounts:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
 
 
-def _as_binary(x, name):
+def require_2d(x, name):
+    """``x`` as an array; ShapeMismatchError unless it is 2-D."""
     arr = np.asarray(x)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    return arr
+
+
+def as_binary(x, name):
+    """A 2-D mask of any dtype as bool. ShapeMismatchError unless it is
+    2-D, ValueError unless every value is 0 or 1."""
+    arr = require_2d(x, name)
     mask = arr.astype(bool)
     if not np.array_equal(arr, mask):  # equal only where every value is 0 or 1
-        raise ValueError(f"{name} must contain only 0/1 values")
+        raise ValueError(f"{name} must contain only 0/1 values (each pixel 0 or 1)")
     return mask
 
 
@@ -81,8 +89,8 @@ def check_probabilities(p, name):
 
 def confusion(pred, gt):
     """Exact pixel tallies of a predicted mask against the ground truth."""
-    p = _as_binary(pred, "pred")
-    g = _as_binary(gt, "gt")
+    p = as_binary(pred, "pred")
+    g = as_binary(gt, "gt")
     if p.shape != g.shape:
         raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
     return _counts(p, g)
@@ -174,7 +182,7 @@ def _checked_pairs(predictions, ground_truths):
             raise ValueError(f"more predictions than the {idx} ground truths")
         p = np.asarray(p, dtype=np.float64)
         check_probabilities(p, f"prediction {idx}")
-        gb = _as_binary(g, f"ground truth {idx}")
+        gb = as_binary(g, f"ground truth {idx}")
         if p.shape != gb.shape:
             raise ShapeMismatchError(
                 f"image {idx}: prediction shape {p.shape} != mask shape {gb.shape}")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .metrics import as_binary, require_2d
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,7 @@ _FLAT3 = StructuringElement.flat(3)
 
 
 def _morph(x, element, iterations, op):
-    arr = np.asarray(x)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D image, got shape {arr.shape}")
+    arr = require_2d(x, "image")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     a = element.values.shape[0] // 2
@@ -131,17 +130,10 @@ def boundary_soft_labels(mask, config=None):
     deep interior stays 1, far background stays 0.
     """
     cfg = config or BoundaryUncertaintyConfig()
-    arr = np.asarray(mask)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"mask must be 2-D, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("mask values must be 0 or 1")
-    m = arr.astype(bool)
-    grown = np.asarray(dilate(arr.astype(np.uint8), cfg.element,
-                              cfg.iterations)) > 0
-    kept = np.asarray(erode(arr.astype(np.uint8), cfg.element,
-                            cfg.iterations)) > 0
-    out = np.zeros(arr.shape, dtype=np.float32)
+    m = as_binary(mask, "mask")
+    grown = dilate(m, cfg.element, cfg.iterations)
+    kept = erode(m, cfg.element, cfg.iterations)
+    out = np.zeros(m.shape, dtype=np.float32)
     out[m] = 1.0
     out[m & ~kept] = np.float32(cfg.interior_label)
     out[grown & ~m] = np.float32(cfg.exterior_label)

@@ -229,12 +229,8 @@ def sigmoid_forward_backward(x):
     """
     x = np.asarray(x)
     x64 = x.astype(np.float64)
-    y64 = np.empty_like(x64)
-    pos = x64 >= 0
-    y64[pos] = 1.0 / (1.0 + np.exp(-x64[pos]))
-    ex = np.exp(x64[~pos])
-    y64[~pos] = ex / (1.0 + ex)
     em = np.exp(-np.abs(x64))
+    y64 = np.where(x64 >= 0, 1.0, em) / (1.0 + em)
     deriv = em / (1.0 + em) ** 2
     dt = _out_dtype(x)
     return y64.astype(dt), deriv.astype(dt)

@@ -25,7 +25,7 @@ approximation p = exp(-0.717 z - 0.416 z^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 Z_95 = NormalDist().inv_cdf(0.975)
@@ -47,9 +47,7 @@ class Interval:
                 f"estimate={self.estimate}, upper={self.upper}")
 
     def to_dict(self):
-        return {"estimate": self.estimate, "lower": self.lower,
-                "upper": self.upper, "level": self.level, "n": self.n,
-                "method": self.method}
+        return asdict(self)
 
 
 def _check_level(level):

@@ -6,12 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from segens.augment import mirror
+from segens.ensemble import fuse_and, fuse_max
 from segens.errors import NumericError, ShapeMismatchError
+from segens.imageio import resize, store_gray, store_mask, store_probmap
+from segens.losses import mean_absolute_error
 from segens.metrics import (ConfusionCounts, Curve, auroc, confusion,
                             default_threshold_grid, dice_from_iou,
                             evaluate_pairs, map11, mask_level_match,
                             pr_roc_curves, scalar_metrics, undefined_metrics,
                             write_curve_csv)
+from segens.morpho import boundary_soft_labels, dilate
 
 
 def brute_force_confusion(pred, gt):
@@ -423,3 +428,62 @@ class TestStreaming:
         small, large = peak(10), peak(200)
         # holding every pixel would need about 20x the 10-image peak
         assert large < 4 * small, (small, large)
+
+
+class TestOneCheckPerContract:
+    """Each array contract has one check in ``metrics``: every entry point
+    that takes the array raises the same exception class and message."""
+
+    MASK_ENTRY_POINTS = {
+        "confusion": lambda m, tmp: confusion(m, m),
+        "store_mask": lambda m, tmp: store_mask(m, tmp / "m.pgm"),
+        "boundary_soft_labels": lambda m, tmp: boundary_soft_labels(m),
+    }
+    MAP_ENTRY_POINTS = {
+        "evaluate_pairs": lambda p, tmp: evaluate_pairs(
+            [p], [np.eye(3, dtype=np.uint8)]),
+        "fuse_max": lambda p, tmp: fuse_max([np.zeros((3, 3)), p]),
+        "store_probmap": lambda p, tmp: store_probmap(p, tmp / "p.pgm"),
+    }
+    IMAGE_ENTRY_POINTS = {
+        "store_gray": lambda a, tmp: store_gray(a, tmp / "g.pgm"),
+        "resize": lambda a, tmp: resize(a, (4, 4)),
+        "dilate": lambda a, tmp: dilate(a),
+        "mean_absolute_error": lambda a, tmp: mean_absolute_error(a, a),
+        "mirror": lambda a, tmp: mirror(a, a),
+        "fuse_and": lambda a, tmp: fuse_and([a, a]),
+        **MASK_ENTRY_POINTS,
+    }
+
+    @staticmethod
+    def _raises(call, bad, tmp_path, error, message):
+        with pytest.raises(error, match=message) as exc:
+            call(bad, tmp_path)
+        assert type(exc.value) is error
+        assert not any(tmp_path.iterdir())  # nothing written
+
+    @pytest.mark.parametrize("entry", MASK_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [2, 0.5, np.nan])
+    def test_non_binary_mask(self, entry, bad, tmp_path):
+        mask = np.eye(3)
+        mask[2, 0] = bad
+        self._raises(self.MASK_ENTRY_POINTS[entry], mask, tmp_path,
+                     ValueError, "must contain only 0/1")
+
+    @pytest.mark.parametrize("entry", IMAGE_ENTRY_POINTS)
+    def test_three_dimensional_array(self, entry, tmp_path):
+        self._raises(self.IMAGE_ENTRY_POINTS[entry],
+                     np.zeros((2, 3, 3), np.uint8), tmp_path,
+                     ShapeMismatchError, "must be 2-D")
+
+    @pytest.mark.parametrize("entry", MAP_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7, -0.01])
+    def test_invalid_probability_map(self, entry, bad, tmp_path):
+        probmap = np.full((3, 3), 0.5)
+        probmap[1, 1] = bad
+        if np.isfinite(bad):
+            error, message = ValueError, r"outside \[0, 1\]"
+        else:
+            error, message = NumericError, "non-finite"
+        self._raises(self.MAP_ENTRY_POINTS[entry], probmap, tmp_path,
+                     error, message)
