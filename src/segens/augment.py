@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,8 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
     """Generate ``config.count`` augmented pairs from the train split.
 
     Writes image/mask files under ``output_dir`` and returns the input
-    records plus one new train record per generated pair.
+    records plus one new train record per generated pair, in output
+    order. Each source pair is decoded once.
     """
     if image_format not in ("pgm", "png"):
         raise ValueError(f"image_format must be 'pgm' or 'png', got {image_format}")
@@ -126,23 +128,29 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = "." + image_format
-    added = []
-    for k in range(config.count):
-        src_idx, mirrored, angle, factor = sample_transform(config, k, len(train))
+    draws = [sample_transform(config, k, len(train)) for k in range(config.count)]
+    # Group the outputs by source, groups in order of first use, so the
+    # defective source met first is the one output-index order meets first.
+    rank = {src: i for i, src in enumerate(dict.fromkeys(d[0] for d in draws))}
+    order = sorted(range(config.count), key=lambda k: rank[draws[k][0]])
+    added = [None] * config.count
+    for src_idx, group in groupby(order, key=lambda k: draws[k][0]):
         rec = train[src_idx]
-        img = load_gray(rec.image)
-        msk = load_mask(rec.gtmask)
-        if img.shape != msk.shape:
-            raise ShapeMismatchError(
-                f"{rec.image}: image shape {img.shape} != mask shape {msk.shape}")
-        if mirrored:
-            img, msk = mirror(img, msk)
-        img, msk = rotate(img, msk, angle)
-        img, msk = zoom(img, msk, factor)
-        img_path = out_dir / f"aug{k:05d}_image{ext}"
-        msk_path = out_dir / f"aug{k:05d}_mask{ext}"
-        store_gray(img, img_path)
-        store_mask(msk, msk_path)
-        added.append(ManifestRecord(split="train", image=str(img_path),
-                                    gtmask=str(msk_path)))
+        src_img = load_gray(rec.image)
+        src_msk = load_mask(rec.gtmask)
+        if src_img.shape != src_msk.shape:
+            raise ShapeMismatchError(f"{rec.image}: image shape {src_img.shape} "
+                                     f"!= mask shape {src_msk.shape}")
+        for k in group:
+            _, mirrored, angle, factor = draws[k]
+            img, msk = (mirror(src_img, src_msk) if mirrored
+                        else (src_img, src_msk))
+            img, msk = rotate(img, msk, angle)
+            img, msk = zoom(img, msk, factor)
+            img_path = out_dir / f"aug{k:05d}_image{ext}"
+            msk_path = out_dir / f"aug{k:05d}_mask{ext}"
+            store_gray(img, img_path)
+            store_mask(msk, msk_path)
+            added[k] = ManifestRecord(split="train", image=str(img_path),
+                                      gtmask=str(msk_path))
     return records + added

@@ -382,21 +382,35 @@ def save_metalearner(params, path, hyper=None):
 
 
 def load_metalearner(path):
+    """Load a "stack-metalearner-v1" model; a malformed one raises DecodeError."""
     path = Path(path)
     try:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DecodeError(f"unparseable meta-learner header: {exc}",
                           path=path) from None
-    if meta.get("format") != "stack-metalearner-v1":
-        raise DecodeError(f"unknown meta-learner format {meta.get('format')!r}",
-                          path=path)
+    if not (isinstance(meta, dict) and meta.get("format") == "stack-metalearner-v1"):
+        raise DecodeError("not a stack-metalearner-v1 header object", path=path)
+    layers = meta.get("layers")
+    if not (isinstance(layers, list) and len(layers) == len(_FILTERS)):
+        raise DecodeError(f"header must list {len(_FILTERS)} layers", path=path)
+    root = path.parent.resolve()
     arrays = []
-    for spec in meta["layers"]:
-        w = load_feature_stack(path.parent / spec["weights_file"])
-        shape = (spec["out_channels"], spec["in_channels"],
-                 spec["kernel_h"], spec["kernel_w"])
-        arrays.append(w.reshape(shape))
-        arrays.append(load_feature_stack(
-            path.parent / spec["bias_file"]).reshape(spec["out_channels"]))
+    for i, spec in enumerate(layers):
+        spec = spec if isinstance(spec, dict) else {}
+        o, c, kh, kw = dims = [spec.get(k) for k in (
+            "out_channels", "in_channels", "kernel_h", "kernel_w")]
+        files = [spec.get("weights_file"), spec.get("bias_file")]
+        if not (all(type(d) is int and d > 0 for d in dims) and all(
+                isinstance(f, str) and (root / f).resolve().is_relative_to(root)
+                for f in files)):
+            raise DecodeError(f"layer {i} needs four integer dims > 0 and two "
+                              "tensor files inside the model's directory",
+                              path=path)
+        w, b = (load_feature_stack(root / f) for f in files)
+        if w.shape != (o, c * kh, kw) or b.shape != (o, 1, 1):
+            raise DecodeError(
+                f"layer {i} header says {o}x{c}x{kh}x{kw}, but its files hold "
+                f"weights {w.shape} and bias {b.shape}", path=path)
+        arrays += [w.reshape(o, c, kh, kw), b.reshape(o)]
     return MetaLearnerParams.from_arrays(arrays, seed=meta.get("seed", 0))

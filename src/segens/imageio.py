@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, ShapeMismatchError
+from .errors import DecodeError, NumericError, ShapeMismatchError
 from .metrics import as_binary, check_probabilities, require_2d
 
 SPLITS = ("train", "validation", "test")
@@ -105,47 +105,44 @@ def _encode_pgm(arr):
 # ---------------------------------------------------------------------------
 # PNG (8-bit grayscale, color type 0, non-interlaced)
 
-def _paeth(a, b, c):
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
-
-
 def _unfilter_scanlines(raw, width, height, path=None):
-    out = np.zeros((height, width), dtype=np.uint8)
+    # Sub and Up wrap in uint8 arrays; Average and Paeth loop over the
+    # Python ints of bytes, several times cheaper than numpy scalars.
+    out = np.empty((height, width), dtype=np.uint8)
     stride = width + 1
-    prev = np.zeros(width, dtype=np.int64)
+    prev = bytes(width)
     for r in range(height):
         ftype = raw[r * stride]
-        line = np.frombuffer(raw, dtype=np.uint8, count=width,
-                             offset=r * stride + 1).astype(np.int64)
+        line = raw[r * stride + 1:(r + 1) * stride]
         if ftype == 0:
             cur = line
         elif ftype == 1:  # Sub: left-neighbor prediction, bpp = 1
-            cur = np.cumsum(line) % 256
+            cur = np.cumsum(np.frombuffer(line, np.uint8), dtype=np.uint8).tobytes()
         elif ftype == 2:  # Up
-            cur = (line + prev) % 256
+            cur = (np.frombuffer(line, np.uint8)
+                   + np.frombuffer(prev, np.uint8)).tobytes()
         elif ftype == 3:  # Average
-            cur = np.zeros(width, dtype=np.int64)
+            vals = []
             left = 0
-            for i in range(width):
-                left = (line[i] + (left + prev[i]) // 2) % 256
-                cur[i] = left
+            for x, up in zip(line, prev):
+                left = (x + ((left + up) >> 1)) & 255
+                vals.append(left)
+            cur = bytes(vals)
         elif ftype == 4:  # Paeth
-            cur = np.zeros(width, dtype=np.int64)
+            vals = []
             left = upleft = 0
-            for i in range(width):
-                left = (line[i] + _paeth(left, int(prev[i]), upleft)) % 256
-                upleft = int(prev[i])
-                cur[i] = left
+            for x, up in zip(line, prev):
+                p = left + up - upleft
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
+                pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
+                left = (x + pred) & 255
+                vals.append(left)
+                upleft = up
+            cur = bytes(vals)
         else:
             raise DecodeError(f"invalid PNG scanline filter {ftype} in row {r}",
                               path=path)
-        out[r] = cur.astype(np.uint8)
+        out[r] = np.frombuffer(cur, np.uint8)
         prev = cur
     return out
 
@@ -286,12 +283,13 @@ def store_probmap(probmap, path):
 # FST feature-stack container
 
 def store_feature_stack(stack, path):
-    """Write a (C, H, W) float32 stack in the FST container (bit-exact)."""
+    """Write a (C, H, W) float32 stack in the FST container (bit-exact).
+    Non-finite values raise NumericError and write no file."""
     arr = np.asarray(stack)
     if arr.ndim != 3:
         raise ShapeMismatchError(f"feature stack must be 3-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("feature stack contains non-finite values")
+        raise NumericError("feature stack contains non-finite values")
     arr = np.ascontiguousarray(arr, dtype="<f4")
     c, h, w = arr.shape
     Path(path).write_bytes(_FST_MAGIC + f"{c} {h} {w}\n".encode() + arr.tobytes())

@@ -2,9 +2,9 @@
 
 Tensors are numpy arrays laid out (channels, height, width) in row-major
 order. The production path stores values in float32; every reduction
-(convolution window sums, Adam moments, finite differences) runs in
-float64 and the result is cast back down to float32 unless some operand
-was float64, in which case the result stays 64-bit. Gradient checks
+(convolution window sums, Adam moments) runs in float64 and the result
+is cast back down to float32 unless some operand was float64, in which
+case the result stays 64-bit. Gradient checks
 exploit this: perturbing a float64 copy of any operand yields a fully
 64-bit loss evaluation.
 
@@ -21,7 +21,6 @@ produce bit-identical outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -296,22 +295,3 @@ def adam_step(params, grads, state):
         new_v.append(v)
     return new_params, replace(state, m=tuple(new_m), v=tuple(new_v), t=t)
 
-
-def finite_diff_grad(f, params, step=1e-4):
-    """Central-difference gradient oracle, computed coordinatewise in float64.
-
-    ``f`` maps an array shaped like ``params`` to a finite scalar.
-    """
-    base = np.array(params, dtype=np.float64)
-    grad = np.zeros(base.shape, dtype=np.float64)
-    for idx in np.ndindex(base.shape):
-        hi = base.copy()
-        hi[idx] += step
-        lo = base.copy()
-        lo[idx] -= step
-        f_hi = float(f(hi))
-        f_lo = float(f(lo))
-        if not (math.isfinite(f_hi) and math.isfinite(f_lo)):
-            raise NumericError(f"function is not finite near coordinate {idx}")
-        grad[idx] = (f_hi - f_lo) / (2.0 * step)
-    return grad

@@ -1,10 +1,14 @@
 """Affine transforms, sampled parameter ranges, and dataset generation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from segens import augment, imageio
 from segens.augment import (AugmentConfig, augment_dataset, mirror, rotate,
                             sample_transform, zoom)
+from segens.cli import main
 from segens.errors import ShapeMismatchError
 from segens.imageio import (ManifestRecord, load_gray, load_mask, store_gray,
                             store_mask, write_manifest)
@@ -155,14 +159,14 @@ class TestSampling:
             AugmentConfig(rotation_degrees=(10.0, 5.0))
 
 
-def _seed_dataset(tmp_path, n=3, size=12):
+def _seed_dataset(tmp_path, n=3, size=12, ext="pgm"):
     rng = np.random.default_rng(61)
     records = []
     for i in range(n):
         img = rng.integers(0, 256, (size, size), dtype=np.uint8)
         mask = (rng.random((size, size)) > 0.5).astype(np.uint8)
-        ipath = tmp_path / f"img{i}.pgm"
-        mpath = tmp_path / f"mask{i}.pgm"
+        ipath = tmp_path / f"img{i}.{ext}"
+        mpath = tmp_path / f"mask{i}.{ext}"
         store_gray(img, ipath)
         store_mask(mask, mpath)
         records.append(ManifestRecord("train", str(ipath), str(mpath)))
@@ -222,3 +226,71 @@ class TestAugmentDataset:
                               tmp_path / "aug2k")
         train = [r for r in out if r.split == "train"]
         assert len(train) == 2 + 2000
+
+    def test_each_source_decoded_once(self, tmp_path, monkeypatch):
+        records = _seed_dataset(tmp_path, n=4, ext="png")
+        config = AugmentConfig(count=12, seed=3)
+        drawn = {sample_transform(config, k, 4)[0] for k in range(12)}
+        assert len(drawn) < 12  # sources repeat, so decoding per output would show
+        calls = []
+
+        def counting_load_gray(path, _load=imageio.load_gray):
+            calls.append(path)
+            return _load(path)
+
+        # augment loads images by its own binding, masks through load_mask
+        monkeypatch.setattr(augment, "load_gray", counting_load_gray)
+        monkeypatch.setattr(imageio, "load_gray", counting_load_gray)
+        augment_dataset(records, config, tmp_path / "aug", image_format="png")
+        assert len(calls) == 2 * len(drawn)
+        assert len(set(calls)) == len(calls)
+
+    def test_outputs_match_per_output_reference(self, tmp_path):
+        records = _seed_dataset(tmp_path, n=3, size=20, ext="png")
+        config = AugmentConfig(count=9, seed=11)
+        out = augment_dataset(records, config, tmp_path / "aug", image_format="png")
+        added = out[len(records):]
+        for k, rec in enumerate(added):
+            assert rec.image.endswith(f"aug{k:05d}_image.png")
+            assert rec.gtmask.endswith(f"aug{k:05d}_mask.png")
+            src, mirrored, angle, factor = sample_transform(config, k, 3)
+            img = load_gray(records[src].image)
+            msk = load_mask(records[src].gtmask)
+            if mirrored:
+                img, msk = mirror(img, msk)
+            img, msk = zoom(*rotate(img, msk, angle), factor)
+            store_gray(img, tmp_path / "ref_image.png")
+            store_mask(msk, tmp_path / "ref_mask.png")
+            assert Path(rec.image).read_bytes() == \
+                (tmp_path / "ref_image.png").read_bytes()
+            assert Path(rec.gtmask).read_bytes() == \
+                (tmp_path / "ref_mask.png").read_bytes()
+
+
+class TestDefectiveSources:
+    @pytest.mark.parametrize("first, code", [("undecodable", 2),
+                                             ("shape mismatch", 3)])
+    def test_source_first_used_by_output_index_sets_exit_code(
+            self, tmp_path, first, code):
+        # Sources 1 and 2 are defective and the outputs use source 2 first,
+        # so its defect sets the exit code, as in output-index order, though
+        # source 1 comes first in the manifest.
+        records = _seed_dataset(tmp_path, n=3)
+        second = "shape mismatch" if first == "undecodable" else "undecodable"
+        defective = {first: records[2], second: records[1]}
+        Path(defective["undecodable"].image).write_bytes(b"NOTANIMAGE")
+        store_mask(np.zeros((5, 5), np.uint8), defective["shape mismatch"].gtmask)
+        count = 6
+
+        def first_use(seed):
+            srcs = [sample_transform(AugmentConfig(count=count, seed=seed), k, 3)[0]
+                    for k in range(count)]
+            return [s for s in dict.fromkeys(srcs) if s != 0]
+
+        seed = next(s for s in range(100) if first_use(s) == [2, 1])
+        write_manifest(records, tmp_path / "in.tsv")
+        assert main(["augment", "--manifest", str(tmp_path / "in.tsv"),
+                     "--outdir", str(tmp_path / "aug"),
+                     "--out-manifest", str(tmp_path / "out.tsv"),
+                     "--count", str(count), "--seed", str(seed)]) == code
+        assert not (tmp_path / "out.tsv").exists()

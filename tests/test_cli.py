@@ -262,6 +262,56 @@ class TestAugmentCommand:
             assert fx.read_bytes() == fy.read_bytes()
 
 
+_DELETE = object()
+
+
+class TestModelHeader:
+    """A malformed "stack-metalearner-v1" header, or one that disagrees
+    with its tensor files, makes ``stack predict`` exit 2."""
+
+    @pytest.mark.parametrize("keys, value", [
+        ((), [{"format": "stack-metalearner-v1"}]),
+        (("layers",), _DELETE),
+        (("layers",), {"0": {}}),
+        (("layers", 3), "layer"),
+        (("layers", 2, "bias_file"), _DELETE),
+        (("layers", 4), _DELETE),
+        (("layers", 0, "out_channels"), 0),
+        (("layers", 4, "kernel_h"), "1"),
+        (("layers", 2, "kernel_w"), True),
+        (("layers", 0, "in_channels"), 3),  # its weights file holds 2
+        (("layers", 1, "bias_file"), "params.json.layer0.bias.fst"),
+        (("layers", 0, "weights_file"), 7),
+        (("layers", 0, "weights_file"), "../outside.fst"),
+    ], ids=["list", "no-layers", "layers-not-list", "layer-not-object",
+            "missing-key", "layer-count", "zero-dim", "string-dim", "bool-dim",
+            "in-channels", "bias-shape", "file-not-string", "escape"])
+    def test_malformed_header_exits_two(self, tmp_path, rng, keys, value):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        # a valid tensor file outside the model's directory, which the
+        # header must not be able to reach
+        (tmp_path / "outside.fst").write_bytes(
+            (model.parent / "params.json.layer0.weights.fst").read_bytes())
+        meta = json.loads(model.read_text())
+        if not keys:
+            meta = value
+        else:
+            parent = meta
+            for key in keys[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = value
+        model.write_text(json.dumps(meta))
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 2
+        assert not (tmp_path / "preds").exists()
+
+
 class TestCi:
     def test_wald_reported_value(self, capsys):
         assert main(["ci", "--dice", "0.5608", "--n", "33"]) == 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from segens import imageio
-from segens.errors import DecodeError
+from segens.errors import DecodeError, NumericError
 from segens.imageio import (ManifestRecord, load_feature_stack, load_gray,
                             load_mask, load_probmap, read_manifest, resize,
                             sample, split_manifest, store_feature_stack,
@@ -129,6 +129,57 @@ def _build_png(img, filters):
             + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
             + _png_chunk(b"IDAT", zlib.compress(raw))
             + _png_chunk(b"IEND", b""))
+
+
+def _unfilter_reference(raw, width, height):
+    """Per-pixel PNG unfiltering, written from the specification.
+
+    Returns the raster and how many pixels wrapped past 255 (raw byte +
+    predictor >= 256) and landed exactly on 0 (== 256).
+    """
+    out = np.zeros((height, width), np.int64)
+    wrapped = on_zero = 0
+    for r in range(height):
+        ftype = raw[r * (width + 1)]
+        for c in range(width):
+            x = raw[r * (width + 1) + 1 + c]
+            a = int(out[r, c - 1]) if c else 0
+            b = int(out[r - 1, c]) if r else 0
+            ul = int(out[r - 1, c - 1]) if r and c else 0
+            p = a + b - ul
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - ul)
+            paeth = a if pa <= pb and pa <= pc else (b if pb <= pc else ul)
+            total = x + (0, a, b, (a + b) // 2, paeth)[ftype]
+            out[r, c] = total % 256
+            wrapped += total >= 256
+            on_zero += total == 256
+    return out.astype(np.uint8), wrapped, on_zero
+
+
+class TestUnfilter:
+    @pytest.mark.parametrize("filters", [(0,), (1,), (2,), (3,), (4,),
+                                         "mixed"])
+    def test_matches_per_pixel_reference(self, rng, filters):
+        width, height = 64, 12
+        if filters == "mixed":
+            filters = rng.permutation(np.arange(height) % 5)  # each type twice
+        # half the bytes near the ends of the range, so sums wrap at 0 and 255
+        edges = rng.choice(np.array([0, 1, 254, 255], np.uint8), (height, width))
+        pixels = np.where(rng.random((height, width)) < 0.5, edges,
+                          rng.integers(0, 256, (height, width), dtype=np.uint8))
+        ftypes = np.resize(np.asarray(filters, np.uint8), height)
+        raw = np.column_stack([ftypes, pixels]).astype(np.uint8).tobytes()
+        want, wrapped, on_zero = _unfilter_reference(raw, width, height)
+        got = imageio._unfilter_scanlines(raw, width, height)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert {0, 255} <= set(pixels.ravel().tolist())
+        if set(ftypes.tolist()) != {0}:
+            assert wrapped > 0 and on_zero > 0
+
+    def test_invalid_filter_byte_names_row(self):
+        raw = bytes([0]) + bytes(64) + bytes([5]) + bytes(64)
+        with pytest.raises(DecodeError, match="invalid PNG scanline filter 5 in row 1"):
+            imageio._unfilter_scanlines(raw, 64, 2)
 
 
 class TestPng:
@@ -308,8 +359,14 @@ class TestFst:
             load_feature_stack(path)
 
     def test_store_rejects_non_finite(self, tmp_path):
-        with pytest.raises(ValueError, match="non-finite"):
-            store_feature_stack(np.full((1, 1, 1), np.nan), tmp_path / "n.fst")
+        # the one non-finite contract: NumericError (exit 4), no file written
+        path = tmp_path / "n.fst"
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = np.ones((2, 3, 3), np.float32)
+            stack[1, 2, 0] = bad
+            with pytest.raises(NumericError, match="non-finite"):
+                store_feature_stack(stack, path)
+            assert not path.exists()
 
 
 class TestResize:

@@ -12,7 +12,8 @@ from segens.losses import (MixedLossConfig, TverskyConfig, dice_loss,
                            iou_soft, mean_absolute_error, mixed_loss, msssim,
                            tversky_index)
 from segens.morpho import BoundaryUncertaintyConfig, boundary_soft_labels
-from segens.ndtensor import finite_diff_grad
+
+from _oracles import finite_diff_grad
 
 
 class TestOverlapScores:

@@ -9,8 +9,10 @@ import pytest
 from segens import ndtensor
 from segens.errors import NumericError, ShapeMismatchError
 from segens.ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
-                             conv2d_forward, finite_diff_grad,
-                             relu_forward_backward, sigmoid_forward_backward)
+                             conv2d_forward, relu_forward_backward,
+                             sigmoid_forward_backward)
+
+from _oracles import finite_diff_grad
 
 
 def conv_reference(x, weights, bias, grad_out=None):
