@@ -31,11 +31,10 @@ from .errors import DecodeError, NumericError, ShapeMismatchError
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
 from .metrics import (check_probabilities, confusion, require_2d,
-                      scalar_metrics)
+                      require_chw, scalar_metrics)
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
-                       conv2d_forward, relu_forward_backward,
-                       sigmoid_forward_backward)
+                       conv2d_forward, sigmoid_forward_backward)
 
 _FILTERS = (256, 128, 64, 32, 1)
 _KERNEL_SIZES = (3, 3, 3, 3, 1)
@@ -157,18 +156,17 @@ def build_metalearner(in_channels, seed=0):
     return MetaLearnerParams(layers=tuple(layers), seed=seed)
 
 
-def _forward(params, stack):
+def _forward(params, stack, inputs=None):
+    """Output and sigmoid derivative; each layer's input is appended to
+    ``inputs`` if given (backward's ReLU mask is next input > 0)."""
     h = stack  # conv2d_forward checks its shape against the first layer
-    cache = []
     for i, layer in enumerate(params.layers):
-        z = conv2d_forward(h, layer)
+        if inputs is not None:
+            inputs.append(h)
+        h = conv2d_forward(h, layer)
         if i < len(params.layers) - 1:
-            y, local = relu_forward_backward(z)
-        else:
-            y, local = sigmoid_forward_backward(z)
-        cache.append((h, local))
-        h = y
-    return h, cache
+            np.maximum(h, 0, out=h)
+    return sigmoid_forward_backward(h)
 
 
 def predict_metalearner(params, stack):
@@ -179,16 +177,16 @@ def predict_metalearner(params, stack):
 
 def _loss_and_grads(params, stack, soft_target, tversky):
     """Loss plus gradients for every parameter array, back to front."""
-    out, cache = _forward(params, stack)
+    inputs = []
+    out, deriv = _forward(params, stack, inputs)
     loss, dpred = focal_tversky_loss(soft_target, out[0], tversky)
     grads = [None] * (2 * len(params.layers))
     # gradients ride in float64 end to end; only parameters and
     # activations are stored in 32-bit
     g = dpred[None, :, :]
     for i in range(len(params.layers) - 1, -1, -1):
-        h_in, local = cache[i]
-        gz = g * local
-        g, gw, gb = conv2d_backward(h_in, params.layers[i], gz)
+        gz = g * (deriv if i == len(params.layers) - 1 else inputs[i + 1] > 0)
+        g, gw, gb = conv2d_backward(inputs[i], params.layers[i], gz)
         grads[2 * i] = gw
         grads[2 * i + 1] = gb
     return loss, out[0], grads
@@ -246,10 +244,8 @@ def _prepare_pairs(pairs, boundary, what):
     stacks, gts, softs = [], [], []
     channels = None
     for idx, (stack, gt) in enumerate(pairs):
-        arr = np.asarray(stack, dtype=np.float32)
-        if arr.ndim != 3:
-            raise ShapeMismatchError(
-                f"{what} sample {idx}: stack must be (C, H, W), got {arr.shape}")
+        arr = require_chw(np.asarray(stack, dtype=np.float32),
+                          f"{what} sample {idx}: stack")
         if channels is None:
             channels = arr.shape[0]
         elif arr.shape[0] != channels:
@@ -413,4 +409,8 @@ def load_metalearner(path):
                 f"layer {i} header says {o}x{c}x{kh}x{kw}, but its files hold "
                 f"weights {w.shape} and bias {b.shape}", path=path)
         arrays += [w.reshape(o, c, kh, kw), b.reshape(o)]
-    return MetaLearnerParams.from_arrays(arrays, seed=meta.get("seed", 0))
+    try:
+        return MetaLearnerParams.from_arrays(arrays, seed=meta.get("seed", 0))
+    except ValueError as exc:  # consistent files, but not this network
+        raise DecodeError(f"not the meta-learner's architecture: {exc}",
+                          path=path) from None

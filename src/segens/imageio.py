@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError, ShapeMismatchError
-from .metrics import as_binary, check_probabilities, require_2d
+from .errors import DecodeError, NumericError
+from .metrics import as_binary, check_probabilities, require_2d, require_chw
 
 SPLITS = ("train", "validation", "test")
 
@@ -285,9 +285,7 @@ def store_probmap(probmap, path):
 def store_feature_stack(stack, path):
     """Write a (C, H, W) float32 stack in the FST container (bit-exact).
     Non-finite values raise NumericError and write no file."""
-    arr = np.asarray(stack)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(f"feature stack must be 3-D, got shape {arr.shape}")
+    arr = require_chw(stack, "feature stack")
     if not np.isfinite(arr).all():
         raise NumericError("feature stack contains non-finite values")
     arr = np.ascontiguousarray(arr, dtype="<f4")

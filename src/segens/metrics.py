@@ -64,6 +64,15 @@ def require_2d(x, name):
     return arr
 
 
+def require_chw(x, name):
+    """``x`` as an array; ShapeMismatchError unless it is 3-D (C, H, W)."""
+    arr = np.asarray(x)
+    if arr.ndim != 3:
+        raise ShapeMismatchError(
+            f"{name} must be (channels, height, width), got shape {arr.shape}")
+    return arr
+
+
 def as_binary(x, name):
     """A 2-D mask of any dtype as bool. ShapeMismatchError unless it is
     2-D, ValueError unless every value is 0 or 1."""

@@ -9,11 +9,12 @@ exploit this: perturbing a float64 copy of any operand yields a fully
 64-bit loss evaluation.
 
 Convolution is shift-and-accumulate (kn2row, arXiv:1704.04428): the input
-is zero-padded once to float64, each kernel tap reads a shifted view of
-it, and the products ``W[:, :, i, j] @ view`` are summed into one float64
-``O x H x (W+2*pw)`` accumulator whose pad columns are cropped; backward
-runs the same products per tap. Memory is the padded input, the
-accumulator and one product buffer, not a ``9C x H x W`` column matrix.
+is zero-padded to float64, each kernel tap reads a shifted view of it,
+and the products ``W[:, :, i, j] @ view`` are summed into a float64
+accumulator whose pad columns are cropped. Forward runs one band of
+output rows at a time (arXiv:1709.03395), so its memory is the input,
+the output and one band's padded input, accumulator (_BAND_BYTES) and
+product buffer; backward runs the same products over the whole image.
 
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
@@ -26,25 +27,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
+from .metrics import require_chw
 
 
 # Largest C*kh*kw whose taps share one stacked GEMM (see _tap_groups).
 _STACKED_MAX_K = 64
+# Byte budget of conv2d_forward's float64 accumulator for one row band.
+_BAND_BYTES = 4 << 20
 
 
 def _out_dtype(*arrays):
     if any(np.asarray(a).dtype == np.float64 for a in arrays):
         return np.float64
     return np.float32
-
-
-def _require_chw(x, name="input"):
-    arr = np.asarray(x)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(
-            f"{name} must be (channels, height, width), got shape {arr.shape}"
-        )
-    return arr
 
 
 @dataclass(frozen=True)
@@ -139,7 +134,7 @@ def _tap_major(weights):
 
 
 def _check_channels(x, kernel):
-    x = _require_chw(x)
+    x = require_chw(x, "input")
     if x.shape[0] != kernel.in_channels:
         raise ShapeMismatchError(
             f"input has {x.shape[0]} channels but kernel expects {kernel.in_channels}"
@@ -155,21 +150,37 @@ def conv2d_forward(x, kernel):
     x = _check_channels(x, kernel)
     out_ch, in_ch, kh, kw = kernel.weights.shape
     _, h, w = x.shape
-    flat, stride, offsets = _padded_rows(x, kh, kw)
+    ph = kh // 2
+    stride = w + 2 * (kw // 2)
     wmat = _tap_major(kernel.weights)
-    acc = tmp = None
-    for taps, _, cols in _tap_groups(flat, offsets, h * stride):
-        if acc is None:
-            acc = wmat[:, taps] @ cols
-            continue
-        if tmp is None:
-            tmp = np.empty_like(acc)
-        acc += np.matmul(wmat[:, taps], cols, out=tmp)
-    acc += kernel.bias.astype(np.float64)[:, None]
-    out = acc.reshape(out_ch, h, stride)[:, :, :w]
-    if not np.isfinite(out).all():
-        raise NumericError("convolution produced non-finite values")
-    return out.astype(_out_dtype(x, kernel.weights, kernel.bias))
+    bias = kernel.bias.astype(np.float64)[:, None]
+    out = np.empty((out_ch, h, w), dtype=_out_dtype(x, kernel.weights, kernel.bias))
+    # even split into bands of at most _BAND_BYTES of accumulator rows
+    rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
+    bands = max(1, -(-h // rows))
+    edges = [h * k // bands for k in range(bands + 1)]
+    size = out_ch * -(-h // bands) * stride
+    acc_buf, tmp_buf = np.empty(size), np.empty(size)
+    for r0, r1 in zip(edges, edges[1:]):
+        # rows r0-ph .. r1+ph of the zero-padded image; padded row r0-lo
+        # of this slice is image row r0-ph
+        lo = max(r0 - ph, 0)
+        flat, _, offsets = _padded_rows(x[:, lo:r1 + ph], kh, kw)
+        flat = flat[:, (r0 - lo) * stride:]
+        n = (r1 - r0) * stride
+        acc = acc_buf[:out_ch * n].reshape(out_ch, n)
+        tmp = tmp_buf[:out_ch * n].reshape(out_ch, n)
+        for k, (taps, _, cols) in enumerate(_tap_groups(flat, offsets, n)):
+            if k == 0:
+                np.matmul(wmat[:, taps], cols, out=acc)
+            else:
+                acc += np.matmul(wmat[:, taps], cols, out=tmp)
+        acc += bias
+        out[:, r0:r1] = acc.reshape(out_ch, r1 - r0, stride)[:, :, :w]
+        # checked after the cast, which overflows to inf past float32's range
+        if not np.isfinite(out[:, r0:r1]).all():
+            raise NumericError("convolution produced non-finite values")
+    return out
 
 
 def conv2d_backward(x, kernel, grad_out):
@@ -179,7 +190,7 @@ def conv2d_backward(x, kernel, grad_out):
     Returns (grad_input, grad_weights, grad_bias).
     """
     x = _check_channels(x, kernel)
-    g = _require_chw(grad_out, "grad_out")
+    g = require_chw(grad_out, "grad_out")
     out_ch, in_ch, kh, kw = kernel.weights.shape
     _, h, w = x.shape
     if g.shape != (out_ch, h, w):
@@ -210,13 +221,6 @@ def conv2d_backward(x, kernel, grad_out):
 
     dt = _out_dtype(x, kernel.weights, g)
     return grad_input.astype(dt), grad_weights.astype(dt), grad_bias.astype(dt)
-
-
-def relu_forward_backward(x):
-    """ReLU value and its local derivative mask (1 where x > 0)."""
-    x = np.asarray(x)
-    y = np.maximum(x, 0)
-    return y, (x > 0).astype(y.dtype)
 
 
 def sigmoid_forward_backward(x):

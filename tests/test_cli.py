@@ -312,6 +312,26 @@ class TestModelHeader:
         assert not (tmp_path / "preds").exists()
 
 
+    def test_other_architecture_exits_two(self, tmp_path, rng):
+        # layer 4's header and files agree on 2 filters, but the network
+        # has one: a malformed model file, not a shape mismatch of data
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        meta = json.loads(model.read_text())
+        spec = meta["layers"][4]
+        spec["out_channels"] = 2
+        imageio.store_feature_stack(np.ones((2, 32, 1), np.float32),
+                                    model.parent / spec["weights_file"])
+        imageio.store_feature_stack(np.zeros((2, 1, 1), np.float32),
+                                    model.parent / spec["bias_file"])
+        model.write_text(json.dumps(meta))
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 2
+        assert not (tmp_path / "preds").exists()
+
+
 class TestCi:
     def test_wald_reported_value(self, capsys):
         assert main(["ci", "--dice", "0.5608", "--n", "33"]) == 0

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from segens import ensemble
 from segens.ensemble import (HyperParams, MetaLearnerParams, binarize,
                              build_metalearner, fuse_and, fuse_max, fuse_or,
                              load_metalearner, predict_metalearner,
                              save_metalearner, train_metalearner)
 from segens.errors import NumericError, ShapeMismatchError
 from segens.ndtensor import ConvKernel
+
+from _oracles import loss_and_grads_local_cache
 
 
 @pytest.fixture
@@ -274,6 +277,30 @@ class TestTraining:
         _, run = train_metalearner(pairs, hyper=hyper)
         assert len(run.train_loss) < 60
         assert run.train_dice[-1] > 0.9
+
+    def test_derived_relu_mask_matches_stored_mask(self, monkeypatch):
+        # backward takes each ReLU mask as (next layer's input > 0); the
+        # loss and every gradient must equal, bit for bit, those of a
+        # forward that stores (z > 0) per layer
+        pairs = overfit_fixture(seed=5, n=2, size=32)
+        real = ensemble._loss_and_grads
+        seen = []
+
+        def both(params, stack, soft, tversky):
+            loss, pred, grads = real(params, stack, soft, tversky)
+            want = loss_and_grads_local_cache(params, stack, soft, tversky)
+            assert loss == want[0]
+            assert pred.tobytes() == want[1].tobytes()
+            for got, ref in zip(grads, want[2]):
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+            seen.append(loss)
+            return loss, pred, grads
+
+        monkeypatch.setattr(ensemble, "_loss_and_grads", both)
+        train_metalearner(pairs, hyper=HyperParams(epochs=1, batch_size=1,
+                                                   seed=0))
+        assert len(seen) == 2
 
     def test_both_empty_sample_scores_dice_one(self):
         init = build_metalearner(2, seed=0)

@@ -1,15 +1,17 @@
 """Confusion tallies, scalar metrics, curves, mAP/AUROC, mask matching."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from segens.augment import mirror
-from segens.ensemble import fuse_and, fuse_max
+from segens.ensemble import fuse_and, fuse_max, train_metalearner
 from segens.errors import NumericError, ShapeMismatchError
-from segens.imageio import resize, store_gray, store_mask, store_probmap
+from segens.imageio import (resize, store_feature_stack, store_gray,
+                            store_mask, store_probmap)
 from segens.losses import mean_absolute_error
 from segens.metrics import (ConfusionCounts, Curve, auroc, confusion,
                             default_threshold_grid, dice_from_iou,
@@ -17,6 +19,7 @@ from segens.metrics import (ConfusionCounts, Curve, auroc, confusion,
                             pr_roc_curves, scalar_metrics, undefined_metrics,
                             write_curve_csv)
 from segens.morpho import boundary_soft_labels, dilate
+from segens.ndtensor import ConvKernel, conv2d_forward
 
 
 def brute_force_confusion(pred, gt):
@@ -455,6 +458,15 @@ class TestOneCheckPerContract:
         **MASK_ENTRY_POINTS,
     }
 
+    STACK_ENTRY_POINTS = {
+        "train_metalearner": lambda s, tmp: train_metalearner(
+            [(s, np.zeros((3, 3), np.uint8))]),
+        "store_feature_stack": lambda s, tmp: store_feature_stack(
+            s, tmp / "s.fst"),
+        "conv2d_forward": lambda s, tmp: conv2d_forward(
+            s, ConvKernel(np.zeros((1, 1, 3, 3)), np.zeros(1))),
+    }
+
     @staticmethod
     def _raises(call, bad, tmp_path, error, message):
         with pytest.raises(error, match=message) as exc:
@@ -487,3 +499,12 @@ class TestOneCheckPerContract:
             error, message = NumericError, "non-finite"
         self._raises(self.MAP_ENTRY_POINTS[entry], probmap, tmp_path,
                      error, message)
+
+    @pytest.mark.parametrize("entry", STACK_ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1, 3, 3)])
+    def test_not_channels_height_width(self, entry, shape, tmp_path):
+        message = ("must be (channels, height, width), "
+                   f"got shape {shape}")
+        self._raises(self.STACK_ENTRY_POINTS[entry],
+                     np.zeros(shape, np.float32), tmp_path,
+                     ShapeMismatchError, re.escape(message))

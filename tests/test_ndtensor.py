@@ -1,16 +1,20 @@
 """Tests for the dense-tensor kernel: conv2d, activations, Adam, FD oracle."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from segens import ndtensor
+from segens.ensemble import build_metalearner, predict_metalearner
 from segens.errors import NumericError, ShapeMismatchError
 from segens.ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
-                             conv2d_forward, relu_forward_backward,
-                             sigmoid_forward_backward)
+                             conv2d_forward, sigmoid_forward_backward)
 
 from _oracles import finite_diff_grad
 
@@ -111,6 +115,14 @@ class TestConvForward:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             ConvKernel(np.zeros((1, 1, 2, 2), np.float32), np.zeros(1, np.float32))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_float32_overflow_raises(self):
+        # 1e40 is finite in the float64 accumulator but inf in float32
+        kernel = ConvKernel(np.full((1, 1, 1, 1), 1e20, np.float32),
+                            np.zeros(1, np.float32))
+        with pytest.raises(NumericError, match="non-finite"):
+            conv2d_forward(np.full((1, 2, 2), 1e20, np.float32), kernel)
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(3)
@@ -231,11 +243,89 @@ class TestConvAgainstWindowReference:
             assert peak < bound, f"peak {peak / 2**20:.0f} MB"
 
 
+# (in_ch, out_ch, k, h, w, accumulator rows per band): several bands
+# with halos at both ends and unequal heights (7 rows as 1+2+2+2), one
+# row per band, a single-row image, and 1x1 kernels; both GEMM groupings
+BAND_CASES = [(3, 4, 3, 7, 5, 2), (32, 3, 3, 6, 4, 1), (7, 2, 3, 9, 3, 4),
+              (5, 2, 3, 1, 6, 1), (40, 2, 1, 5, 3, 2), (80, 2, 1, 5, 2, 3)]
+
+_PREDICT_CHILD = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from segens.ensemble import build_metalearner, predict_metalearner
+stack = np.random.default_rng(4).random((3, 96, 96)).astype(np.float32)
+out = predict_metalearner(build_metalearner(3, seed=2), stack)
+print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+class TestBandedForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", BAND_CASES)
+    def test_bands_match_reference_and_one_band(self, case, dtype, monkeypatch):
+        in_ch, out_ch, k, h, w, rows = case
+        rng = np.random.default_rng(in_ch * 10 + h)
+        x, kernel = random_instance(rng, in_ch, out_ch, k, h, w, dtype)
+        one_band = conv2d_forward(x, kernel)
+        stride = w + 2 * (k // 2)
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * out_ch * stride * rows)
+        bands = []
+        padded_rows = ndtensor._padded_rows
+
+        def spy(xs, kh, kw):
+            bands.append(xs.shape[1])
+            return padded_rows(xs, kh, kw)
+
+        monkeypatch.setattr(ndtensor, "_padded_rows", spy)
+        y = conv2d_forward(x, kernel)
+        assert len(bands) == -(-h // rows)
+        want, _, _ = conv_reference(x, kernel.weights, kernel.bias)
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        assert y.dtype == dtype
+        assert np.allclose(y, want, rtol=tol, atol=tol)
+        if dtype == np.float32:
+            assert y.tobytes() == one_band.tobytes()
+
+    def test_predict_memory_is_banded(self):
+        # one 256x256 map: the whole-image float64 buffers of each layer
+        # peaked near 485 MB
+        params = build_metalearner(3, seed=0)
+        stack = np.random.default_rng(1).random((3, 256, 256),
+                                                dtype=np.float32)
+        tracemalloc.start()
+        try:
+            predict_metalearner(params, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+    def test_predicted_map_independent_of_blas_threads(self):
+        src = str(Path(ndtensor.__file__).resolve().parents[1])
+        digests = []
+        for threads in (None, "1"):
+            env = dict(os.environ)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run([sys.executable, "-c", _PREDICT_CHILD, src],
+                                  env=env, capture_output=True, text=True,
+                                  check=True, timeout=300)
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 class TestActivations:
     def test_relu_values(self):
-        y, mask = relu_forward_backward(np.array([-1.0, 2.0], np.float32))
-        assert y.tolist() == [0.0, 2.0]
-        assert mask.tolist() == [0.0, 1.0]
+        # the meta-learner applies ReLU in place and backward takes the
+        # mask as output > 0, which must equal input > 0 at and near 0
+        z = np.array([-1.0, -0.0, 0.0, 1e-30, 2.0], np.float32)
+        y = z.copy()
+        np.maximum(y, 0, out=y)
+        assert y.tolist() == [0.0, 0.0, 0.0, z[3], 2.0]
+        assert (y > 0).tolist() == (z > 0).tolist() == [False] * 3 + [True] * 2
+        g = np.array([-3.0, -3.0, 3.0, 3.0, 3.0])
+        assert np.signbit(g * (y > 0)).tolist() == [True, True, False, False, False]
 
     def test_sigmoid_symmetry_point(self):
         y, d = sigmoid_forward_backward(np.array([0.0]))
@@ -254,9 +344,9 @@ class TestActivations:
         for _ in range(20):
             x = rng.standard_normal(6)
             x = np.where(np.abs(x) < 0.05, 0.5, x)  # keep FD off the kink
-            _, mask = relu_forward_backward(x)
+            mask = np.maximum(x, 0) > 0
             fd = finite_diff_grad(
-                lambda a: float(relu_forward_backward(a)[0].sum()), x, step=1e-4)
+                lambda a: float(np.maximum(a, 0).sum()), x, step=1e-4)
             assert np.allclose(mask, fd, atol=1e-7)
 
     def test_sigmoid_extreme_inputs_finite(self):
