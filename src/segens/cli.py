@@ -66,7 +66,7 @@ def _build_parser():
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out", required=True, help="fused mask file")
     p.add_argument("--threshold", type=float, default=0.5,
-                   help="binarization threshold (default: 0.5)")
+                   help="binarization threshold in [0,1] (default: 0.5)")
     p.add_argument("--out-prob", default=None,
                    help="also write the fused probability map (max only)")
     p.set_defaults(handler=_cmd_fuse)
@@ -199,8 +199,6 @@ def _cmd_eval(args):
 
 
 def _cmd_fuse(args):
-    if len(args.inputs) < 2:
-        raise ValueError("fuse needs at least 2 inputs")
     maps = [imageio.load_probmap(p) for p in args.inputs]
     sidecar = {"method": args.method, "inputs": list(args.inputs),
                "threshold": args.threshold}
@@ -283,14 +281,20 @@ def _cmd_stack_predict(args):
         records = [r for r in records if r.split == args.split]
     if not records:
         raise ValueError("no manifest records to predict")
+    names = {}  # map file name -> the record that writes it
+    for i, record in enumerate(records):
+        stem = Path(record.image).stem if record.image else f"record{i:04d}"
+        name, label = f"{stem}_stack.pgm", record.image or f"record {i}"
+        if name in names:
+            raise ValueError(f"records {names[name]!r} and {label!r} both write {name}")
+        names[name] = label
     params = ensemble.load_metalearner(args.params)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for i, record in enumerate(records):
+    for record, name in zip(records, names):
         stack, _ = _record_stack(record)
         prob = ensemble.predict_metalearner(params, stack)
-        stem = Path(record.image).stem if record.image else f"record{i:04d}"
-        imageio.store_probmap(prob, outdir / f"{stem}_stack.pgm")
+        imageio.store_probmap(prob, outdir / name)
     return 0
 
 

@@ -33,8 +33,8 @@ from .losses import TverskyConfig, focal_tversky_loss
 from .metrics import (check_probabilities, confusion, require_2d,
                       require_chw, scalar_metrics)
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
-from .ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
-                       conv2d_forward, sigmoid_forward_backward)
+from .ndtensor import (AdamState, ConvKernel, _param_grads, adam_step,
+                       conv2d_backward, conv2d_forward, sigmoid_forward_backward)
 
 _FILTERS = (256, 128, 64, 32, 1)
 _KERNEL_SIZES = (3, 3, 3, 3, 1)
@@ -70,6 +70,8 @@ def fuse_or(masks):
 
 def binarize(probmap, threshold=0.5):
     """Hard mask from a probability map: foreground where p >= threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     return (np.asarray(probmap) >= threshold).astype(np.uint8)
 
 
@@ -124,11 +126,7 @@ class MetaLearnerParams:
 
     def parameter_arrays(self):
         """Flat parameter list (w0, b0, w1, b1, ...) for the optimizer."""
-        out = []
-        for k in self.layers:
-            out.append(k.weights)
-            out.append(k.bias)
-        return out
+        return [a for k in self.layers for a in (k.weights, k.bias)]
 
     @classmethod
     def from_arrays(cls, arrays, seed=0):
@@ -183,12 +181,13 @@ def _loss_and_grads(params, stack, soft_target, tversky):
     grads = [None] * (2 * len(params.layers))
     # gradients ride in float64 end to end; only parameters and
     # activations are stored in 32-bit
-    g = dpred[None, :, :]
-    for i in range(len(params.layers) - 1, -1, -1):
-        gz = g * (deriv if i == len(params.layers) - 1 else inputs[i + 1] > 0)
-        g, gw, gb = conv2d_backward(inputs[i], params.layers[i], gz)
-        grads[2 * i] = gw
-        grads[2 * i + 1] = gb
+    g = dpred[None, :, :] * deriv
+    for i in range(len(params.layers) - 1, 0, -1):
+        g, grads[2 * i], grads[2 * i + 1] = conv2d_backward(
+            inputs[i], params.layers[i], g)
+        g *= inputs[i] > 0  # layer i - 1's ReLU mask: its output is > 0
+    # layer 0 skips its input gradient: nothing reads the stack's
+    grads[0], grads[1] = _param_grads(inputs[0], params.layers[0], g)
     return loss, out[0], grads
 
 

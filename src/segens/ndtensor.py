@@ -11,10 +11,12 @@ exploit this: perturbing a float64 copy of any operand yields a fully
 Convolution is shift-and-accumulate (kn2row, arXiv:1704.04428): the input
 is zero-padded to float64, each kernel tap reads a shifted view of it,
 and the products ``W[:, :, i, j] @ view`` are summed into a float64
-accumulator whose pad columns are cropped. Forward runs one band of
-output rows at a time (arXiv:1709.03395), so its memory is the input,
-the output and one band's padded input, accumulator (_BAND_BYTES) and
-product buffer; backward runs the same products over the whole image.
+accumulator whose pad columns are cropped. One loop does this, a band of
+output rows at a time (arXiv:1709.03395), holding the input, the output
+and one band's padded input, accumulator (_BAND_BYTES) and product
+buffer. It also gives backward's input gradient: grad_out correlated
+with the kernel turned 180 degrees, channels swapped (arXiv:1603.07285).
+The weight gradient uses whole-image float64 buffers.
 
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
@@ -97,21 +99,14 @@ def _padded_rows(x, kh, kw):
     ph, pw = kh // 2, kw // 2
     stride = w + 2 * pw
     flat = np.zeros((ch, (h + 2 * ph) * stride + 2 * pw), dtype=np.float64)
-    _interior(flat, h, w, kh, kw)[...] = x
+    rows = flat[:, :(h + 2 * ph) * stride].reshape(ch, h + 2 * ph, stride)
+    rows[:, ph:ph + h, pw:pw + w] = x
     offsets = [i * stride + j for i in range(kh) for j in range(kw)]
     return flat, stride, offsets
 
 
-def _interior(flat, h, w, kh, kw):
-    """View of the (C, H, W) unpadded pixels of a _padded_rows buffer."""
-    ph, pw = kh // 2, kw // 2
-    stride = w + 2 * pw
-    rows = flat[:, :(h + 2 * ph) * stride].reshape(len(flat), h + 2 * ph, stride)
-    return rows[:, ph:ph + h, pw:pw + w]
-
-
 def _tap_groups(flat, offsets, n):
-    """Yield (weight columns, tap offsets, (taps*C, n) inputs) per GEMM.
+    """Yield (weight columns, (taps*C, n) inputs) per GEMM.
 
     With few input channels a GEMM per tap is mostly call overhead, so up
     to _STACKED_MAX_K rows all taps are copied into one tap-major matrix;
@@ -123,14 +118,7 @@ def _tap_groups(flat, offsets, n):
         group = offsets[t:t + per]
         cols = (flat[:, group[0]:group[0] + n] if per == 1
                 else np.concatenate([flat[:, o:o + n] for o in group]))
-        yield slice(t * ch, (t + per) * ch), group, cols
-
-
-def _tap_major(weights):
-    """(O, C, kh, kw) weights as a float64 (O, kh*kw*C) matrix, tap-major."""
-    out_ch, in_ch = weights.shape[:2]
-    w64 = weights.astype(np.float64).reshape(out_ch, in_ch, -1)
-    return np.ascontiguousarray(w64.transpose(0, 2, 1)).reshape(out_ch, -1)
+        yield slice(t * ch, (t + per) * ch), cols
 
 
 def _check_channels(x, kernel):
@@ -147,14 +135,20 @@ def conv2d_forward(x, kernel):
 
     Borders are zero padded so spatial dims are preserved.
     """
-    x = _check_channels(x, kernel)
-    out_ch, in_ch, kh, kw = kernel.weights.shape
+    return _correlate(_check_channels(x, kernel), kernel.weights, kernel.bias)
+
+
+def _correlate(x, weights, bias):
+    """conv2d_forward on checked operands, one band of output rows at a time."""
+    out_ch, _, kh, kw = weights.shape
     _, h, w = x.shape
     ph = kh // 2
     stride = w + 2 * (kw // 2)
-    wmat = _tap_major(kernel.weights)
-    bias = kernel.bias.astype(np.float64)[:, None]
-    out = np.empty((out_ch, h, w), dtype=_out_dtype(x, kernel.weights, kernel.bias))
+    out = np.empty((out_ch, h, w), dtype=_out_dtype(x, weights, bias))
+    # weights as a float64 (O, kh*kw*C) matrix, tap-major like _tap_groups
+    wmat = np.ascontiguousarray(weights.transpose(0, 2, 3, 1),
+                                dtype=np.float64).reshape(out_ch, -1)
+    bias = bias.astype(np.float64)[:, None]
     # even split into bands of at most _BAND_BYTES of accumulator rows
     rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
     bands = max(1, -(-h // rows))
@@ -170,7 +164,7 @@ def conv2d_forward(x, kernel):
         n = (r1 - r0) * stride
         acc = acc_buf[:out_ch * n].reshape(out_ch, n)
         tmp = tmp_buf[:out_ch * n].reshape(out_ch, n)
-        for k, (taps, _, cols) in enumerate(_tap_groups(flat, offsets, n)):
+        for k, (taps, cols) in enumerate(_tap_groups(flat, offsets, n)):
             if k == 0:
                 np.matmul(wmat[:, taps], cols, out=acc)
             else:
@@ -191,36 +185,38 @@ def conv2d_backward(x, kernel, grad_out):
     """
     x = _check_channels(x, kernel)
     g = require_chw(grad_out, "grad_out")
+    want = (kernel.out_channels,) + x.shape[1:]
+    if g.shape != want:
+        raise ShapeMismatchError(
+            f"grad_out shape {g.shape} does not match output shape {want}")
+    # grad_out correlated with the kernel turned 180 degrees, channels
+    # swapped; the zero bias carries the gradients' dtype
+    flipped = kernel.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    grad_input = _correlate(
+        g, flipped, np.zeros(kernel.in_channels, _out_dtype(x, kernel.weights, g)))
+    return (grad_input,) + _param_grads(x, kernel, g)
+
+
+def _param_grads(x, kernel, g):
+    """(grad_weights, grad_bias) of conv2d_backward, over the whole image."""
     out_ch, in_ch, kh, kw = kernel.weights.shape
     _, h, w = x.shape
-    if g.shape != (out_ch, h, w):
-        raise ShapeMismatchError(
-            f"grad_out shape {g.shape} does not match output shape {(out_ch, h, w)}"
-        )
     flat, stride, offsets = _padded_rows(x, kh, kw)
     n = h * stride
-    # zeros in the junk columns keep them out of both gradients
+    # zeros in the junk columns keep them out of the weight gradient
     gpad = np.zeros((out_ch, h, stride), dtype=np.float64)
     gpad[:, :, :w] = g
     gpad = gpad.reshape(out_ch, n)
-    grad_bias = np.asarray(g, dtype=np.float64).reshape(out_ch, h * w).sum(axis=1)
-
-    wmat = _tap_major(kernel.weights)
-    gw = np.empty_like(wmat)
-    gflat = np.zeros_like(flat)
-    tmp = None
-    for taps, group, cols in _tap_groups(flat, offsets, n):
+    gw = np.empty((out_ch, kh * kw * in_ch))
+    for taps, cols in _tap_groups(flat, offsets, n):
         np.matmul(gpad, cols.T, out=gw[:, taps])
-        if tmp is None:
-            tmp = np.empty(cols.shape, dtype=np.float64)
-        np.matmul(wmat[:, taps].T, gpad, out=tmp)
-        for k, o in enumerate(group):
-            gflat[:, o:o + n] += tmp[k * in_ch:(k + 1) * in_ch]
-    grad_input = _interior(gflat, h, w, kh, kw)
     grad_weights = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2)
-
+    grad_bias = np.asarray(g, dtype=np.float64).reshape(out_ch, h * w).sum(axis=1)
     dt = _out_dtype(x, kernel.weights, g)
-    return grad_input.astype(dt), grad_weights.astype(dt), grad_bias.astype(dt)
+    grad_weights, grad_bias = grad_weights.astype(dt), grad_bias.astype(dt)
+    if not (np.isfinite(grad_weights).all() and np.isfinite(grad_bias).all()):
+        raise NumericError("convolution gradient has non-finite values")
+    return grad_weights, grad_bias
 
 
 def sigmoid_forward_backward(x):

@@ -3,6 +3,7 @@ contract."""
 
 import json
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,26 @@ class TestFuse:
         assert out_prob.read_bytes() == want_prob.read_bytes()
         assert out.read_bytes() == want_mask.read_bytes()
 
+    @pytest.mark.parametrize("method", ["and", "or", "max"])
+    def test_single_input_exits_one(self, tmp_path, rng, method):
+        p = tmp_path / "p.pgm"
+        imageio.store_probmap(rng.random((4, 4)), p)
+        out = tmp_path / "fused.pgm"
+        assert main(["fuse", "--method", method, "--inputs", str(p),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["1.5", "nan"])
+    @pytest.mark.parametrize("method", ["and", "or", "max"])
+    def test_threshold_outside_unit_interval_exits_one(self, tmp_path, rng,
+                                                       method, threshold):
+        p = tmp_path / "p.pgm"
+        imageio.store_probmap(rng.random((4, 4)), p)
+        out = tmp_path / "fused.pgm"
+        assert main(["fuse", "--method", method, "--inputs", str(p), str(p),
+                     "--threshold", threshold, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 def make_stack_manifest(tmp_path, rng, n_train=4, n_val=1, size=12):
     records = []
@@ -177,6 +198,24 @@ class TestStack:
         for p in outputs:
             arr = imageio.load_probmap(p)
             assert arr.shape == (12, 12)
+
+    def test_colliding_map_names_exit_one_and_write_nothing(self, tmp_path,
+                                                             rng, capsys):
+        mpath = make_stack_manifest(tmp_path, rng)
+        params_path = tmp_path / "params.json"
+        assert main(["stack", "train", "--manifest", str(mpath),
+                     "--params", str(params_path), "--epochs", "0"]) == 0
+        # a/img.png and b/img.png would both be named img_stack.pgm
+        records = [replace(r, image=f"{d}/img.png") for d, r in
+                   zip("ab", imageio.read_manifest(mpath))]
+        imageio.write_manifest(records, mpath)
+        outdir = tmp_path / "preds"
+        capsys.readouterr()
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(params_path), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert "a/img.png" in err and "b/img.png" in err
+        assert not list(outdir.glob("*.pgm"))
 
     def test_same_command_twice_identical_params(self, tmp_path, rng):
         mpath = make_stack_manifest(tmp_path, rng)

@@ -1,5 +1,7 @@
 """Fusion algebra, meta-learner construction, training, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from segens.ensemble import (HyperParams, MetaLearnerParams, binarize,
                              load_metalearner, predict_metalearner,
                              save_metalearner, train_metalearner)
 from segens.errors import NumericError, ShapeMismatchError
+from segens.losses import TverskyConfig
 from segens.ndtensor import ConvKernel
 
 from _oracles import loss_and_grads_local_cache
@@ -94,6 +97,14 @@ class TestFusion:
     def test_max_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             fuse_max([np.full((2, 2), 1.5), np.zeros((2, 2))])
+
+    @pytest.mark.parametrize("threshold", [1.5, np.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        p = np.full((2, 2), 0.5, np.float32)
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            binarize(p, threshold)
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            fuse_max([p, p], binarize_threshold=threshold)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_max_rejects_non_finite(self, bad):
@@ -301,6 +312,21 @@ class TestTraining:
         train_metalearner(pairs, hyper=HyperParams(epochs=1, batch_size=1,
                                                    seed=0))
         assert len(seen) == 2
+
+    def test_training_step_memory(self):
+        # one 128x128 step: the whole-image scatter buffers of the input
+        # gradient and layer 0's unused input gradient peaked near 216 MB
+        params = build_metalearner(3, seed=0)
+        rng = np.random.default_rng(1)
+        stack = rng.random((3, 128, 128), dtype=np.float32)
+        soft = rng.random((128, 128), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            ensemble._loss_and_grads(params, stack, soft, TverskyConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 180 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_both_empty_sample_scores_dice_one(self):
         init = build_metalearner(2, seed=0)

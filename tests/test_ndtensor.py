@@ -156,6 +156,18 @@ class TestConvBackward:
         with pytest.raises(ShapeMismatchError):
             conv2d_backward(x, kernel, np.zeros((2, 5, 5), np.float32))
 
+    # (x, weights, grad_out): every gradient overflows float32, then
+    # only the weight gradient, then only the bias gradient
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("x, w, g", [(1e20, 1e20, 1e20), (1e20, 1.0, 1e20),
+                                         (1e-30, 1e-30, 3e38)])
+    def test_float32_overflow_raises(self, x, w, g):
+        kernel = ConvKernel(np.full((1, 1, 1, 1), w, np.float32),
+                            np.zeros(1, np.float32))
+        with pytest.raises(NumericError, match="non-finite"):
+            conv2d_backward(np.full((1, 2, 2), x, np.float32), kernel,
+                            np.full((1, 2, 2), g, np.float32))
+
     @pytest.mark.parametrize("target", ["input", "weights", "bias"])
     def test_finite_difference_check(self, target):
         # 32-bit storage inputs, 64-bit differencing, rel err < 1e-3
@@ -203,23 +215,29 @@ class TestConvAgainstWindowReference:
                    for c, _, k, _, _ in WINDOW_CASES}
         assert stacked == {True, False}
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # gradients are float64 when any operand is, float32 when all are
+    @pytest.mark.parametrize("dtype, g_dtype", [
+        pytest.param(np.float32, np.float64, id="float32"),
+        pytest.param(np.float64, np.float64, id="float64"),
+        pytest.param(np.float32, np.float32, id="float32-grad_out_float32")])
     @pytest.mark.parametrize("case", WINDOW_CASES)
-    def test_forward_and_gradients(self, case, dtype):
+    def test_forward_and_gradients(self, case, dtype, g_dtype):
         in_ch, out_ch, k, h, w = case
         rng = np.random.default_rng(in_ch * 100 + k)
         x, kernel = random_instance(rng, in_ch, out_ch, k, h, w, dtype)
-        g = rng.standard_normal((out_ch, h, w))
+        g = rng.standard_normal((out_ch, h, w)).astype(g_dtype)
         want_y, want_gi, want_gw = conv_reference(x, kernel.weights, kernel.bias, g)
         y = conv2d_forward(x, kernel)
         gi, gw, gb = conv2d_backward(x, kernel, g)
         assert y.dtype == dtype
-        assert gi.dtype == gw.dtype == gb.dtype == np.float64
+        assert gi.dtype == gw.dtype == gb.dtype == np.result_type(dtype, g_dtype)
         tol = 1e-6 if dtype == np.float32 else 1e-12
         assert np.allclose(y, want_y, rtol=tol, atol=tol)
-        assert np.allclose(gi, want_gi, rtol=1e-12, atol=1e-12)
-        assert np.allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
-        assert np.allclose(gb, g.sum(axis=(1, 2)), rtol=1e-12, atol=1e-12)
+        tol = 1e-6 if gi.dtype == np.float32 else 1e-12
+        assert np.allclose(gi, want_gi, rtol=tol, atol=tol)
+        assert np.allclose(gw, want_gw, rtol=tol, atol=tol)
+        assert np.allclose(gb, g.sum(axis=(1, 2), dtype=np.float64),
+                           rtol=tol, atol=tol)
 
     def test_layer1_memory_stays_below_unfolded_columns(self):
         # the meta-learner's second layer at 128x128: an unfolded column
