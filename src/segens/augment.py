@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, check_range
 from .imageio import (ManifestRecord, load_gray, load_mask, sample, store_gray,
                       store_mask)
 from .metrics import require_2d
@@ -39,14 +39,12 @@ class AugmentConfig:
 
     def __post_init__(self):
         lo, hi = self.rotation_degrees
-        if not 0.0 <= lo <= hi:
-            raise ValueError(f"bad rotation range {self.rotation_degrees}")
+        check_range(lo, "rotation_degrees[0]", 0)
+        check_range(hi, "rotation_degrees[1]", lo)
         zlo, zhi = self.zoom_factors
-        if not 0.0 < zlo <= zhi:
-            raise ValueError(f"bad zoom range {self.zoom_factors}")
-        if not 0.0 <= self.mirror_probability <= 1.0:
-            raise ValueError(
-                f"mirror probability must be in [0, 1], got {self.mirror_probability}")
+        check_range(zlo, "zoom_factors[0]", 0, lo_open=True)
+        check_range(zhi, "zoom_factors[1]", zlo)
+        check_range(self.mirror_probability, "mirror_probability", 0, 1)
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
 
@@ -82,9 +80,7 @@ def _resample_pair(image, mask, inv):
 def rotate(image, mask, angle_degrees):
     """Rotate both arrays about the image center by the same angle."""
     img, msk = _check_pair(image, mask)
-    if not math.isfinite(angle_degrees):
-        raise ValueError(f"angle must be finite, got {angle_degrees}")
-    a = math.radians(angle_degrees)
+    a = math.radians(check_range(angle_degrees, "angle_degrees"))
     inv = ((math.cos(a), -math.sin(a)), (math.sin(a), math.cos(a)))
     return _resample_pair(img, msk, inv)
 
@@ -93,8 +89,7 @@ def zoom(image, mask, factor):
     """Scale about the center: factor > 1 magnifies (crops), factor < 1
     shrinks the content into the middle and zero-pads the border."""
     img, msk = _check_pair(image, mask)
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ValueError(f"zoom factor must be positive, got {factor}")
+    check_range(factor, "factor", 0, lo_open=True)
     inv = ((1.0 / factor, 0.0), (0.0, 1.0 / factor))
     return _resample_pair(img, msk, inv)
 

@@ -98,7 +98,7 @@ def _build_parser():
     t.add_argument("--bu-iterations", type=int, default=1,
                    help="boundary ring width in morphology iterations")
     t.add_argument("--dice-target", type=float, default=None,
-                   help="stop early once train Dice exceeds this")
+                   help="stop early once train Dice exceeds this, in [0,1]")
     t.add_argument("--run", default=None,
                    help="training-history JSON (default: <params>.run.json)")
     t.set_defaults(handler=_cmd_stack_train)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError, ShapeMismatchError
+from .errors import DecodeError, NumericError, ShapeMismatchError, check_range
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
 from .metrics import (check_probabilities, confusion, require_2d,
@@ -70,8 +70,7 @@ def fuse_or(masks):
 
 def binarize(probmap, threshold=0.5):
     """Hard mask from a probability map: foreground where p >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check_range(threshold, "threshold", 0, 1)
     return (np.asarray(probmap) >= threshold).astype(np.uint8)
 
 
@@ -205,8 +204,10 @@ class HyperParams:
     dice_target: float = None
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        check_range(self.learning_rate, "learning_rate", 0)
+        check_range(self.plateau_factor, "plateau_factor", 0, 1, lo_open=True)
+        if self.dice_target is not None:
+            check_range(self.dice_target, "dice_target", 0, 1)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -380,8 +381,8 @@ def load_metalearner(path):
     """Load a "stack-metalearner-v1" model; a malformed one raises DecodeError."""
     path = Path(path)
     try:
-        meta = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(path.read_bytes())
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise DecodeError(f"unparseable meta-learner header: {exc}",
                           path=path) from None
     if not (isinstance(meta, dict) and meta.get("format") == "stack-metalearner-v1"):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError
+from .errors import DecodeError, NumericError, check_range
 from .metrics import as_binary, check_probabilities, require_2d, require_chw
 
 SPLITS = ("train", "validation", "test")
@@ -444,6 +444,8 @@ def split_manifest(records, ratios=(0.7, 0.2, 0.1), seed=0, counts=None):
     if n == 0:
         raise ValueError("cannot split an empty record list")
     if counts is None:
+        for i, r in enumerate(ratios):
+            check_range(r, f"ratios[{i}]", 0, 1)
         if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
             raise ValueError(f"ratios must sum to 1, got {ratios}")
         test_n = int(ratios[2] * n)

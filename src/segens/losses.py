@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, check_range
 from .metrics import require_2d
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
@@ -45,12 +45,9 @@ class TverskyConfig:
     smooth: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 <= self.fn_weight <= 1.0:
-            raise ValueError(f"fn_weight must be in [0, 1], got {self.fn_weight}")
-        if self.focal_exponent <= 0.0:
-            raise ValueError(f"focal_exponent must be > 0, got {self.focal_exponent}")
-        if self.smooth <= 0.0:
-            raise ValueError(f"smooth must be > 0, got {self.smooth}")
+        check_range(self.fn_weight, "fn_weight", 0, 1)
+        check_range(self.focal_exponent, "focal_exponent", 0, lo_open=True)
+        check_range(self.smooth, "smooth", 0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -62,14 +59,13 @@ class MixedLossConfig:
     window_sigma: float = 1.5
 
     def __post_init__(self):
-        if self.similarity_weight < 0.0 or self.mae_weight < 0.0:
-            raise ValueError("loss weights must be non-negative")
+        check_range(self.similarity_weight, "similarity_weight", 0)
+        check_range(self.mae_weight, "mae_weight", 0)
         if not 1 <= self.scales <= len(_SCALE_WEIGHTS):
             raise ValueError(f"scales must be in 1..{len(_SCALE_WEIGHTS)}")
         if self.window_size < 3 or self.window_size % 2 == 0:
             raise ValueError(f"window_size must be odd and >= 3, got {self.window_size}")
-        if self.window_sigma <= 0.0:
-            raise ValueError(f"window_sigma must be > 0, got {self.window_sigma}")
+        check_range(self.window_sigma, "window_sigma", 0, lo_open=True)
 
 
 def _soft_counts(target, prediction):
@@ -94,8 +90,7 @@ def iou_loss(target, prediction, smooth=1e-6):
 
 
 def tversky_index(target, prediction, fn_weight=0.7, smooth=1e-6):
-    if not 0.0 <= fn_weight <= 1.0:
-        raise ValueError(f"fn_weight must be in [0, 1], got {fn_weight}")
+    check_range(fn_weight, "fn_weight", 0, 1)
     tp, fn, fp = _soft_counts(target, prediction)
     return (tp + smooth) / (tp + fn_weight * fn + (1.0 - fn_weight) * fp + smooth)
 

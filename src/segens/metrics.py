@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import stats
-from .errors import NumericError, ShapeMismatchError
+from .errors import NumericError, ShapeMismatchError, check_range
 
 _METRIC_NAMES = ("iou", "dice", "precision", "recall")
 
@@ -140,8 +140,7 @@ def undefined_metrics(counts):
 
 def dice_from_iou(iou):
     """Dice = 2 IoU / (1 + IoU), the exact algebraic companion of IoU."""
-    if not 0.0 <= iou <= 1.0:
-        raise ValueError(f"IoU must be in [0, 1], got {iou}")
+    check_range(iou, "IoU", 0, 1)
     return 2.0 * iou / (1.0 + iou)
 
 
@@ -273,6 +272,7 @@ def mask_level_match(pred, gt, iou_threshold=0.5):
     The below-threshold overlap case yields fp=1 and fn=1, which is why
     the result is a ConfusionCounts rather than a single label.
     """
+    check_range(iou_threshold, "iou_threshold", 0, 1)
     return _match_counts(confusion(pred, gt), iou_threshold)
 
 
@@ -322,28 +322,14 @@ class MetricReport:
     counts: ConfusionCounts
     macro: dict
     mask_level: dict
-    zero_division: list
-    per_image: list
     map11_rule: str = "pixel-pooled-curve"
+    zero_division: list = field(default_factory=list)
+    per_image: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "iou": self.iou,
-            "dice": self.dice,
-            "precision": self.precision,
-            "recall": self.recall,
-            "map11": self.map11,
-            "auroc": self.auroc,
-            "ci": self.ci,
-            "threshold": self.threshold,
-            "image_count": self.image_count,
-            "counts": self.counts.to_dict(),
-            "macro": self.macro,
-            "mask_level": self.mask_level,
-            "map11_rule": self.map11_rule,
-            "zero_division": self.zero_division,
-            "per_image": self.per_image,
-        }
+        # the field order is the key order; shallow, because asdict's deep
+        # copy of the per-image rows made a 400-image eval ~8% slower
+        return dict(vars(self), counts=self.counts.to_dict())
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -364,8 +350,8 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     (default: the image count) and carry both Wald and Clopper-Pearson
     variants with method tags.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check_range(threshold, "threshold", 0, 1)
+    check_range(iou_match_threshold, "iou_match_threshold", 0, 1)
 
     counts = []
 

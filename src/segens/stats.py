@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
-Z_95 = NormalDist().inv_cdf(0.975)
+from .errors import check_range
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,10 @@ class Interval:
         return asdict(self)
 
 
-def _check_level(level):
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
-
-
 def wald_ci(p_hat, n, level=0.95):
-    _check_level(level)
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValueError(f"proportion must be in [0, 1], got {p_hat}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_range(level, "level", 0, 1, lo_open=True, hi_open=True)
+    check_range(p_hat, "proportion", 0, 1)
+    check_range(n, "n", 1)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n)
     return Interval(estimate=p_hat, lower=max(0.0, p_hat - half),
@@ -113,10 +106,9 @@ def _beta_cf(x, a, b):
 
 def regularized_incomplete_beta(x, a, b):
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
+    check_range(a, "a", 0, lo_open=True)
+    check_range(b, "b", 0, lo_open=True)
+    check_range(x, "x", 0, 1)
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -130,8 +122,7 @@ def regularized_incomplete_beta(x, a, b):
 
 def beta_quantile(q, a, b):
     """Smallest x with I_x(a, b) >= q, by bisection."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile level must be in [0, 1], got {q}")
+    check_range(q, "q", 0, 1)
     if q == 0.0:
         return 0.0
     if q == 1.0:
@@ -149,11 +140,9 @@ def beta_quantile(q, a, b):
 
 
 def clopper_pearson_ci(successes, n, level=0.95):
-    _check_level(level)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= successes <= n:
-        raise ValueError(f"successes must be in [0, {n}], got {successes}")
+    check_range(level, "level", 0, 1, lo_open=True, hi_open=True)
+    check_range(n, "n", 1)
+    check_range(successes, "successes", 0, n)
     alpha = 1.0 - level
     if successes <= 0.0:
         lower = 0.0
@@ -174,20 +163,20 @@ def _p_from_z(z):
     return math.exp(-0.717 * z - 0.416 * z * z)
 
 
+def _se_from_ci(lower, upper):
+    """Standard error implied by a 95% interval: its width / (2 * 1.96)."""
+    width = check_range(upper - lower, "interval width", 0, lo_open=True)
+    return width / (2.0 * 1.96)
+
+
 def p_from_ci(estimate, lower, upper):
     """Two-sided p-value for estimate != 0 given its 95% interval."""
-    if upper <= lower:
-        raise ValueError(
-            f"interval must have positive width, got ({lower}, {upper})")
-    se = (upper - lower) / (2.0 * 1.96)
-    return _p_from_z(abs(estimate) / se)
+    check_range(estimate, "estimate")
+    return _p_from_z(abs(estimate) / _se_from_ci(lower, upper))
 
 
 def dice_difference_test(interval_a, interval_b):
     """p-value for a difference of two scores given their 95% intervals."""
-    se_a = (interval_a.upper - interval_a.lower) / (2.0 * 1.96)
-    se_b = (interval_b.upper - interval_b.lower) / (2.0 * 1.96)
-    if se_a <= 0.0 or se_b <= 0.0:
-        raise ValueError("both intervals must have positive width")
-    se = math.hypot(se_a, se_b)
+    se = math.hypot(_se_from_ci(interval_a.lower, interval_a.upper),
+                    _se_from_ci(interval_b.lower, interval_b.upper))
     return _p_from_z(abs(interval_a.estimate - interval_b.estimate) / se)

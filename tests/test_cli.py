@@ -1,6 +1,7 @@
 """End-to-end CLI runs against library-level oracles, plus the exit-code
 contract."""
 
+import argparse
 import json
 import zlib
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from segens import ensemble, imageio, metrics
-from segens.cli import main
+from segens.cli import _build_parser, main
 from segens.errors import NumericError
 
 
@@ -351,6 +352,17 @@ class TestModelHeader:
         assert not (tmp_path / "preds").exists()
 
 
+    def test_non_utf8_header_exits_two(self, tmp_path, rng):
+        # UnicodeDecodeError is a ValueError, which used to exit 1
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        model.write_bytes(b"\xff" + model.read_bytes()[1:])
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 2
+        assert not (tmp_path / "preds").exists()
+
     def test_other_architecture_exits_two(self, tmp_path, rng):
         # layer 4's header and files agree on 2 filters, but the network
         # has one: a malformed model file, not a shape mismatch of data
@@ -489,3 +501,71 @@ class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path, rng):
         preds, gts = make_eval_fixture(tmp_path, rng, n=2)
         assert main(["eval", "--pred", preds[0], "--gt", *gts]) == 1
+
+
+def _float_flags(parser, command=()):
+    """(subcommand path, flag) for every float-typed option of ``parser``
+    and its subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _float_flags(sub, command + (name,))
+        elif action.type is float:
+            yield command, action.option_strings[0]
+
+
+_FLOAT_FLAGS = sorted(_float_flags(_build_parser()))
+
+
+def _valid_argv(command, tmp_path, rng, out):
+    """A run of ``command`` that exits 0 and writes only under ``out``."""
+    if command in (("eval",), ("fuse",)):
+        preds, gts = make_eval_fixture(tmp_path, rng, n=2, size=8)
+        if command == ("eval",):
+            return ["eval", "--pred", *preds, "--gt", *gts,
+                    "--report", str(out / "r.json")]
+        return ["fuse", "--method", "max", "--inputs", *preds,
+                "--out", str(out / "f.pgm")]
+    if command == ("stack", "train"):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0, size=8)
+        return ["stack", "train", "--manifest", str(mpath), "--epochs", "1",
+                "--params", str(out / "params.json")]
+    if command == ("augment",):
+        _, gts = make_eval_fixture(tmp_path, rng, n=1, size=8)
+        mpath = tmp_path / "train.tsv"
+        imageio.write_manifest([imageio.ManifestRecord("train", gts[0], gts[0])],
+                               mpath)
+        return ["augment", "--manifest", str(mpath), "--count", "1",
+                "--outdir", str(out / "aug"),
+                "--out-manifest", str(out / "aug.tsv")]
+    if command == ("ci",):
+        return ["ci", "--dice", "0.5"]
+    if command == ("bu-preview",):
+        _, gts = make_eval_fixture(tmp_path, rng, n=1, size=8)
+        return ["bu-preview", "--mask", gts[0], "--out", str(out / "soft.pgm")]
+    raise AssertionError(f"no valid run of {command} to test its float flags on")
+
+
+class TestScalarFlags:
+    """Every float flag, found by walking the parser, rejects NaN and
+    +-inf with exit 1 and writes nothing."""
+
+    @pytest.mark.parametrize("command", sorted({c for c, _ in _FLOAT_FLAGS}),
+                             ids=" ".join)
+    def test_valid_run_exits_zero(self, tmp_path, rng, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(_valid_argv(command, tmp_path, rng, out)) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", _FLOAT_FLAGS,
+                             ids=[" ".join(c + (f,)) for c, f in _FLOAT_FLAGS])
+    def test_non_finite_value_exits_one(self, tmp_path, rng, capsys, command,
+                                        flag, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        # "--flag=-inf": a separate "-inf" would parse as an unknown option
+        argv = _valid_argv(command, tmp_path, rng, out) + [f"{flag}={value}"]
+        assert main(argv) == 1
+        assert not any(out.iterdir())
+        assert capsys.readouterr().out == ""

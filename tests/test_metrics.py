@@ -1,5 +1,6 @@
 """Confusion tallies, scalar metrics, curves, mAP/AUROC, mask matching."""
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -337,6 +338,23 @@ class TestEvaluatePairs:
         report, _ = evaluate_pairs(preds, gts)
         assert report.dice == 1.0
         assert report.iou == 1.0
+
+    def test_report_json_bytes_pinned(self):
+        # the bytes to_json() wrote when to_dict listed each key by hand;
+        # it now takes the keys from the fields, in field order
+        preds = [np.array([[0.9, 0.2], [0.6, 0.4]]),
+                 np.array([[0.1, 0.7], [0.3, 0.8]]), np.zeros((2, 2))]
+        gts = [np.array([[1, 0], [1, 0]]), np.array([[0, 1], [1, 1]]),
+               np.zeros((2, 2), np.uint8)]
+        report, _ = evaluate_pairs(preds, gts,
+                                   curve_thresholds=[0.0, 0.25, 0.5, 0.75, 1.0])
+        assert list(report.to_dict()) == [
+            "iou", "dice", "precision", "recall", "map11", "auroc", "ci",
+            "threshold", "image_count", "counts", "macro", "mask_level",
+            "map11_rule", "zero_division", "per_image"]
+        assert list(report.to_dict()["counts"]) == ["tp", "fp", "fn", "tn"]
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "9b429ef5b07d6e8c3a43db0ace051e166bc26b110abcb411645c3c8282eea497")
 
     def test_report_contract_keys(self):
         preds, gts = self._fixture()

@@ -1,0 +1,151 @@
+"""One check per scalar contract: ``errors.check_range``, and every
+numeric library parameter that goes through it."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from segens import augment, ensemble, imageio, losses, metrics, stats
+from segens.errors import check_range
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestCheckRange:
+    def test_returns_the_value(self):
+        assert check_range(0.5, "x", 0, 1) == 0.5
+        assert check_range(-3, "x") == -3
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_rejected_even_unbounded(self, value):
+        with pytest.raises(ValueError, match=r"^x must be in \(-inf, inf\), got"):
+            check_range(value, "x")
+
+    def test_closed_bounds_accept_their_ends(self):
+        assert check_range(0, "x", 0, 1) == 0
+        assert check_range(1, "x", 0, 1) == 1
+
+    @pytest.mark.parametrize("value, lo_open, hi_open, message", [
+        (0, True, False, r"x must be in (0, 1], got 0"),
+        (1, False, True, r"x must be in [0, 1), got 1"),
+        (2, True, True, r"x must be in (0, 1), got 2"),
+        (-1, False, False, r"x must be in [0, 1], got -1"),
+    ])
+    def test_message_names_the_range(self, value, lo_open, hi_open, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_range(value, "x", 0, 1, lo_open=lo_open, hi_open=hi_open)
+
+    def test_infinite_bound_is_shown_open(self):
+        with pytest.raises(ValueError, match=re.escape("x must be in [0, inf), got -1")):
+            check_range(-1, "x", 0)
+
+
+_G = np.array([[0, 1], [1, 1]], np.uint8)
+_RECORDS = [imageio.ManifestRecord("train", f"i{k}.pgm", f"m{k}.pgm")
+            for k in range(10)]
+
+# (site, call taking the value, name the message gives)
+SITES = [
+    ("binarize", lambda v: ensemble.binarize(_G, v), "threshold"),
+    ("HyperParams.learning_rate",
+     lambda v: ensemble.HyperParams(learning_rate=v), "learning_rate"),
+    ("HyperParams.plateau_factor",
+     lambda v: ensemble.HyperParams(plateau_factor=v), "plateau_factor"),
+    ("HyperParams.dice_target",
+     lambda v: ensemble.HyperParams(dice_target=v), "dice_target"),
+    ("dice_from_iou", metrics.dice_from_iou, "IoU"),
+    ("evaluate_pairs.threshold",
+     lambda v: metrics.evaluate_pairs([_G], [_G], threshold=v), "threshold"),
+    ("evaluate_pairs.iou_match_threshold",
+     lambda v: metrics.evaluate_pairs([_G], [_G], iou_match_threshold=v),
+     "iou_match_threshold"),
+    ("mask_level_match",
+     lambda v: metrics.mask_level_match(_G, _G, v), "iou_threshold"),
+    ("TverskyConfig.fn_weight",
+     lambda v: losses.TverskyConfig(fn_weight=v), "fn_weight"),
+    ("TverskyConfig.focal_exponent",
+     lambda v: losses.TverskyConfig(focal_exponent=v), "focal_exponent"),
+    ("TverskyConfig.smooth", lambda v: losses.TverskyConfig(smooth=v), "smooth"),
+    ("MixedLossConfig.similarity_weight",
+     lambda v: losses.MixedLossConfig(similarity_weight=v), "similarity_weight"),
+    ("MixedLossConfig.mae_weight",
+     lambda v: losses.MixedLossConfig(mae_weight=v), "mae_weight"),
+    ("MixedLossConfig.window_sigma",
+     lambda v: losses.MixedLossConfig(window_sigma=v), "window_sigma"),
+    ("tversky_index",
+     lambda v: losses.tversky_index(_G, _G, fn_weight=v), "fn_weight"),
+    ("AugmentConfig.rotation_degrees[0]",
+     lambda v: augment.AugmentConfig(rotation_degrees=(v, 10.0)),
+     r"rotation_degrees\[0\]"),
+    ("AugmentConfig.rotation_degrees[1]",
+     lambda v: augment.AugmentConfig(rotation_degrees=(5.0, v)),
+     r"rotation_degrees\[1\]"),
+    ("AugmentConfig.zoom_factors[0]",
+     lambda v: augment.AugmentConfig(zoom_factors=(v, 1.4)), r"zoom_factors\[0\]"),
+    ("AugmentConfig.zoom_factors[1]",
+     lambda v: augment.AugmentConfig(zoom_factors=(0.8, v)), r"zoom_factors\[1\]"),
+    ("AugmentConfig.mirror_probability",
+     lambda v: augment.AugmentConfig(mirror_probability=v), "mirror_probability"),
+    ("rotate", lambda v: augment.rotate(_G, _G, v), "angle_degrees"),
+    ("zoom", lambda v: augment.zoom(_G, _G, v), "factor"),
+    ("wald_ci.p_hat", lambda v: stats.wald_ci(v, 10), "proportion"),
+    ("wald_ci.n", lambda v: stats.wald_ci(0.5, v), "n"),
+    ("wald_ci.level", lambda v: stats.wald_ci(0.5, 10, level=v), "level"),
+    ("clopper_pearson_ci.successes",
+     lambda v: stats.clopper_pearson_ci(v, 10), "successes"),
+    ("clopper_pearson_ci.n", lambda v: stats.clopper_pearson_ci(5, v), "n"),
+    ("clopper_pearson_ci.level",
+     lambda v: stats.clopper_pearson_ci(5, 10, level=v), "level"),
+    ("regularized_incomplete_beta.x",
+     lambda v: stats.regularized_incomplete_beta(v, 2.0, 3.0), "x"),
+    ("regularized_incomplete_beta.a",
+     lambda v: stats.regularized_incomplete_beta(0.5, v, 3.0), "a"),
+    ("regularized_incomplete_beta.b",
+     lambda v: stats.regularized_incomplete_beta(0.5, 2.0, v), "b"),
+    ("beta_quantile", lambda v: stats.beta_quantile(v, 2.0, 3.0), "q"),
+    ("p_from_ci.estimate", lambda v: stats.p_from_ci(v, -0.1, 0.1), "estimate"),
+    ("p_from_ci.upper", lambda v: stats.p_from_ci(0.0, -0.1, v), "interval width"),
+    ("split_manifest.ratios",
+     lambda v: imageio.split_manifest(_RECORDS, ratios=(0.7, v, 0.1)),
+     r"ratios\[1\]"),
+]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("call, name", [s[1:] for s in SITES],
+                         ids=[s[0] for s in SITES])
+def test_non_finite_parameter_rejected(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be in "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda v: metrics.mask_level_match(_G, _G, v), "iou_threshold", 2.0),
+    (lambda v: metrics.mask_level_match(_G, _G, v), "iou_threshold", -0.1),
+    (lambda v: metrics.evaluate_pairs([_G], [_G], iou_match_threshold=v),
+     "iou_match_threshold", 2.0),
+    (lambda v: ensemble.HyperParams(dice_target=v), "dice_target", 1.5),
+    (lambda v: ensemble.HyperParams(plateau_factor=v), "plateau_factor", 0.0),
+    (lambda v: augment.AugmentConfig(rotation_degrees=(10.0, v)),
+     r"rotation_degrees\[1\]", 5.0),
+    # sums to 1; it used to split 10 records into 9 train and 1 test
+    (lambda v: imageio.split_manifest(_RECORDS, ratios=(0.9, v, 0.3)),
+     r"ratios\[1\]", -0.2),
+], ids=["match-above-1", "match-below-0", "eval-match-above-1",
+        "dice-target-above-1", "plateau-factor-0", "rotation-reversed",
+        "negative-split-ratio"])
+def test_out_of_range_parameter_rejected(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be in "):
+        call(value)
+
+
+def test_closed_ends_stay_accepted():
+    ensemble.HyperParams(learning_rate=0.0, dice_target=0.0, plateau_factor=1.0)
+    ensemble.HyperParams(dice_target=1.0)
+    metrics.mask_level_match(_G, _G, 1.0)
+    augment.AugmentConfig(rotation_degrees=(0.0, 0.0), zoom_factors=(1.0, 1.0),
+                          mirror_probability=1.0)
+    losses.TverskyConfig(fn_weight=0.0)
+    losses.MixedLossConfig(similarity_weight=0.0, mae_weight=0.0)
