@@ -24,7 +24,7 @@ import numpy as np
 
 from . import augment as augment_mod
 from . import ensemble, imageio, metrics, stats
-from .errors import DecodeError, NumericError, ShapeMismatchError
+from .errors import DecodeError, NumericError, ShapeMismatchError, check_range
 from .losses import TverskyConfig
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
@@ -199,6 +199,8 @@ def _cmd_eval(args):
 
 
 def _cmd_fuse(args):
+    # checked before any input is read, as eval does
+    check_range(args.threshold, "threshold", 0, 1)
     maps = [imageio.load_probmap(p) for p in args.inputs]
     sidecar = {"method": args.method, "inputs": list(args.inputs),
                "threshold": args.threshold}

@@ -387,6 +387,10 @@ def load_metalearner(path):
                           path=path) from None
     if not (isinstance(meta, dict) and meta.get("format") == "stack-metalearner-v1"):
         raise DecodeError("not a stack-metalearner-v1 header object", path=path)
+    seed = meta.get("seed", 0)
+    if type(seed) is not int:
+        raise DecodeError(f"header seed must be an integer, got {seed!r}",
+                          path=path)
     layers = meta.get("layers")
     if not (isinstance(layers, list) and len(layers) == len(_FILTERS)):
         raise DecodeError(f"header must list {len(_FILTERS)} layers", path=path)
@@ -410,7 +414,7 @@ def load_metalearner(path):
                 f"weights {w.shape} and bias {b.shape}", path=path)
         arrays += [w.reshape(o, c, kh, kw), b.reshape(o)]
     try:
-        return MetaLearnerParams.from_arrays(arrays, seed=meta.get("seed", 0))
+        return MetaLearnerParams.from_arrays(arrays, seed=seed)
     except ValueError as exc:  # consistent files, but not this network
         raise DecodeError(f"not the meta-learner's architecture: {exc}",
                           path=path) from None

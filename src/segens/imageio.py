@@ -406,8 +406,13 @@ class ManifestRecord:
 
 
 def read_manifest(path):
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError("manifest is not UTF-8", offset=exc.start,
+                          path=path) from None
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -428,7 +433,8 @@ def write_manifest(records, path):
     for r in records:
         lines.append("\t".join([r.split, r.image, r.gtmask,
                                 ",".join(r.preds), ",".join(r.fsts)]))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
+                          encoding="utf-8")
 
 
 def split_manifest(records, ratios=(0.7, 0.2, 0.1), seed=0, counts=None):

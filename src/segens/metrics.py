@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,6 +353,12 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     """
     check_range(threshold, "threshold", 0, 1)
     check_range(iou_match_threshold, "iou_match_threshold", 0, 1)
+    if ci_n is not None:
+        try:
+            ci_n = operator.index(ci_n)
+        except TypeError:
+            raise ValueError(f"ci_n must be an integer, got {ci_n!r}") from None
+        check_range(ci_n, "ci_n", 1)
 
     counts = []
 
@@ -377,7 +384,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
         per_image.append(row)
 
     aggregate = scalar_metrics(pooled)
-    n = int(ci_n) if ci_n is not None else len(per_image)
+    n = ci_n if ci_n is not None else len(per_image)
     wald = stats.wald_ci(aggregate["dice"], n)
     cp = stats.clopper_pearson_ci(aggregate["dice"] * n, n)
     macro = {name: math.fsum(r[name] for r in per_image) / len(per_image)

@@ -16,7 +16,8 @@ output rows at a time (arXiv:1709.03395), holding the input, the output
 and one band's padded input, accumulator (_BAND_BYTES) and product
 buffer. It also gives backward's input gradient: grad_out correlated
 with the kernel turned 180 degrees, channels swapped (arXiv:1603.07285).
-The weight gradient uses whole-image float64 buffers.
+The weight gradient sums ``grad_out_band @ view.T`` over the same bands,
+so no float64 buffer spans the whole image.
 
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
@@ -34,7 +35,7 @@ from .metrics import require_chw
 
 # Largest C*kh*kw whose taps share one stacked GEMM (see _tap_groups).
 _STACKED_MAX_K = 64
-# Byte budget of conv2d_forward's float64 accumulator for one row band.
+# Byte budget of one row band's (out_channels, rows, W + 2*pw) float64 buffer.
 _BAND_BYTES = 4 << 20
 
 
@@ -87,22 +88,31 @@ class ConvKernel:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-def _padded_rows(x, kh, kw):
-    """Zero-pad (C, H, W) to float64 rows of ``stride = W + 2*pw``, flattened.
+def _row_bands(x, kh, kw, out_ch):
+    """Yield (r0, r1, flat, offsets) per band of output rows r0..r1-1.
 
-    ``2*pw`` trailing zeros let tap (i, j) at ``o = i*stride + j`` read
-    ``flat[:, o:o + H*stride]``, in which output pixel (y, z) is column
-    ``y*stride + z`` and the ``2*pw`` columns past ``W`` per row are junk.
-    Returns (flat, stride, tap offsets in row-major order).
+    Bands split H evenly, each at most _BAND_BYTES of an (out_ch, rows,
+    stride) float64 buffer, ``stride = W + 2*pw``. ``flat`` is image rows
+    r0-ph .. r1+ph-1 (the ``kh//2`` halo; zeros outside the image) in
+    float64 rows of ``stride``, flattened, plus ``2*pw`` trailing zeros,
+    so tap (i, j) at ``o = i*stride + j`` reads ``flat[:, o:o + n]``,
+    ``n = (r1-r0)*stride``: output pixel (r0 + y, z) is its column
+    ``y*stride + z``, and the ``2*pw`` columns past ``W`` per row are junk.
     """
     ch, h, w = x.shape
     ph, pw = kh // 2, kw // 2
     stride = w + 2 * pw
-    flat = np.zeros((ch, (h + 2 * ph) * stride + 2 * pw), dtype=np.float64)
-    rows = flat[:, :(h + 2 * ph) * stride].reshape(ch, h + 2 * ph, stride)
-    rows[:, ph:ph + h, pw:pw + w] = x
     offsets = [i * stride + j for i in range(kh) for j in range(kw)]
-    return flat, stride, offsets
+    rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
+    bands = -(-h // rows)
+    edges = [h * k // bands for k in range(bands + 1)]
+    for r0, r1 in zip(edges, edges[1:]):
+        lo, hi = max(r0 - ph, 0), min(r1 + ph, h)
+        span = (r1 - r0 + 2 * ph) * stride
+        flat = np.zeros((ch, span + 2 * pw))
+        padded = flat[:, :span].reshape(ch, -1, stride)
+        padded[:, lo - r0 + ph:hi - r0 + ph, pw:pw + w] = x[:, lo:hi]
+        yield r0, r1, flat, offsets
 
 
 def _tap_groups(flat, offsets, n):
@@ -142,28 +152,15 @@ def _correlate(x, weights, bias):
     """conv2d_forward on checked operands, one band of output rows at a time."""
     out_ch, _, kh, kw = weights.shape
     _, h, w = x.shape
-    ph = kh // 2
     stride = w + 2 * (kw // 2)
     out = np.empty((out_ch, h, w), dtype=_out_dtype(x, weights, bias))
     # weights as a float64 (O, kh*kw*C) matrix, tap-major like _tap_groups
     wmat = np.ascontiguousarray(weights.transpose(0, 2, 3, 1),
                                 dtype=np.float64).reshape(out_ch, -1)
     bias = bias.astype(np.float64)[:, None]
-    # even split into bands of at most _BAND_BYTES of accumulator rows
-    rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
-    bands = max(1, -(-h // rows))
-    edges = [h * k // bands for k in range(bands + 1)]
-    size = out_ch * -(-h // bands) * stride
-    acc_buf, tmp_buf = np.empty(size), np.empty(size)
-    for r0, r1 in zip(edges, edges[1:]):
-        # rows r0-ph .. r1+ph of the zero-padded image; padded row r0-lo
-        # of this slice is image row r0-ph
-        lo = max(r0 - ph, 0)
-        flat, _, offsets = _padded_rows(x[:, lo:r1 + ph], kh, kw)
-        flat = flat[:, (r0 - lo) * stride:]
+    for r0, r1, flat, offsets in _row_bands(x, kh, kw, out_ch):
         n = (r1 - r0) * stride
-        acc = acc_buf[:out_ch * n].reshape(out_ch, n)
-        tmp = tmp_buf[:out_ch * n].reshape(out_ch, n)
+        acc, tmp = np.empty((out_ch, n)), np.empty((out_ch, n))
         for k, (taps, cols) in enumerate(_tap_groups(flat, offsets, n)):
             if k == 0:
                 np.matmul(wmat[:, taps], cols, out=acc)
@@ -198,18 +195,19 @@ def conv2d_backward(x, kernel, grad_out):
 
 
 def _param_grads(x, kernel, g):
-    """(grad_weights, grad_bias) of conv2d_backward, over the whole image."""
+    """(grad_weights, grad_bias) of conv2d_backward, summed over row bands."""
     out_ch, in_ch, kh, kw = kernel.weights.shape
     _, h, w = x.shape
-    flat, stride, offsets = _padded_rows(x, kh, kw)
-    n = h * stride
-    # zeros in the junk columns keep them out of the weight gradient
-    gpad = np.zeros((out_ch, h, stride), dtype=np.float64)
-    gpad[:, :, :w] = g
-    gpad = gpad.reshape(out_ch, n)
-    gw = np.empty((out_ch, kh * kw * in_ch))
-    for taps, cols in _tap_groups(flat, offsets, n):
-        np.matmul(gpad, cols.T, out=gw[:, taps])
+    stride = w + 2 * (kw // 2)
+    gw = np.zeros((out_ch, kh * kw * in_ch))
+    for r0, r1, flat, offsets in _row_bands(x, kh, kw, out_ch):
+        n = (r1 - r0) * stride
+        # zeros in the junk columns keep them out of the weight gradient
+        gpad = np.zeros((out_ch, r1 - r0, stride))
+        gpad[:, :, :w] = g[:, r0:r1]
+        gpad = gpad.reshape(out_ch, n)
+        for taps, cols in _tap_groups(flat, offsets, n):
+            gw[:, taps] += gpad @ cols.T
     grad_weights = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2)
     grad_bias = np.asarray(g, dtype=np.float64).reshape(out_ch, h * w).sum(axis=1)
     dt = _out_dtype(x, kernel.weights, g)

@@ -323,9 +323,12 @@ class TestModelHeader:
         (("layers", 1, "bias_file"), "params.json.layer0.bias.fst"),
         (("layers", 0, "weights_file"), 7),
         (("layers", 0, "weights_file"), "../outside.fst"),
+        (("seed",), "x"),
+        (("seed",), 1.5),
     ], ids=["list", "no-layers", "layers-not-list", "layer-not-object",
             "missing-key", "layer-count", "zero-dim", "string-dim", "bool-dim",
-            "in-channels", "bias-shape", "file-not-string", "escape"])
+            "in-channels", "bias-shape", "file-not-string", "escape",
+            "string-seed", "float-seed"])
     def test_malformed_header_exits_two(self, tmp_path, rng, keys, value):
         mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
         model = tmp_path / "model" / "params.json"
@@ -351,6 +354,18 @@ class TestModelHeader:
                      "--outdir", str(tmp_path / "preds")]) == 2
         assert not (tmp_path / "preds").exists()
 
+
+    def test_header_without_seed_loads_as_zero(self, tmp_path, rng):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=4), model)
+        meta = json.loads(model.read_text())
+        del meta["seed"]
+        model.write_text(json.dumps(meta))
+        assert ensemble.load_metalearner(model).seed == 0
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 0
 
     def test_non_utf8_header_exits_two(self, tmp_path, rng):
         # UnicodeDecodeError is a ValueError, which used to exit 1
@@ -479,6 +494,35 @@ class TestExitCodes:
             monkeypatch.setattr(imageio, "load_probmap", lambda path: (
                 np.full((16, 16), 1.7) if path == preds[0] else load(path)))
         assert main(["eval", "--pred", *preds, "--gt", *gts]) == code
+
+    @pytest.mark.parametrize("method", ["and", "or", "max"])
+    def test_fuse_checks_threshold_before_reading(self, tmp_path, capsys,
+                                                  method):
+        # missing inputs would exit 2; the bad threshold is found first
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["fuse", "--method", method, "--threshold=nan",
+                     "--inputs", str(tmp_path / "missing1.pgm"),
+                     str(tmp_path / "missing2.pgm"),
+                     "--out", str(out / "f.pgm")]) == 1
+        assert "threshold must be in [0, 1]" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["eval", "stack predict"])
+    def test_non_utf8_manifest_is_two(self, tmp_path, rng, capsys, command):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        data = mpath.read_bytes()
+        mpath.write_bytes(data[:9] + b"\xff" + data[10:])
+        argv = (["eval", "--manifest", str(mpath), "--split", "train"]
+                if command == "eval" else
+                ["stack", "predict", "--manifest", str(mpath),
+                 "--params", str(model), "--outdir", str(tmp_path / "preds")])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "manifest is not UTF-8 at byte offset 9" in err
+        assert not (tmp_path / "preds").exists()
 
     def test_shape_mismatch_is_three(self, tmp_path, rng):
         a = tmp_path / "a.pgm"

@@ -329,8 +329,8 @@ class TestTraining:
         assert peak < 180 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_training_step_memory_256(self):
-        # one step at the paper's 256x256 traces near 513 MB; it was
-        # 838 MB with whole-image buffers for the input gradient
+        # one step at the paper's 256x256 traces near 340 MB; it was
+        # 513 MB with whole-image buffers for the weight gradient
         params = build_metalearner(3, seed=0)
         rng = np.random.default_rng(2)
         stack = rng.random((3, 256, 256), dtype=np.float32)
@@ -341,7 +341,7 @@ class TestTraining:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 600 * 2**20, f"peak {peak / 2**20:.0f} MB"
+        assert peak < 400 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_both_empty_sample_scores_dice_one(self):
         init = build_metalearner(2, seed=0)

@@ -289,13 +289,14 @@ class TestBandedForward:
         stride = w + 2 * (k // 2)
         monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * out_ch * stride * rows)
         bands = []
-        padded_rows = ndtensor._padded_rows
+        row_bands = ndtensor._row_bands
 
-        def spy(xs, kh, kw):
-            bands.append(xs.shape[1])
-            return padded_rows(xs, kh, kw)
+        def spy(*args):
+            for band in row_bands(*args):
+                bands.append(band[:2])
+                yield band
 
-        monkeypatch.setattr(ndtensor, "_padded_rows", spy)
+        monkeypatch.setattr(ndtensor, "_row_bands", spy)
         y = conv2d_forward(x, kernel)
         assert len(bands) == -(-h // rows)
         want, _, _ = conv_reference(x, kernel.weights, kernel.bias)
@@ -304,6 +305,33 @@ class TestBandedForward:
         assert np.allclose(y, want, rtol=tol, atol=tol)
         if dtype == np.float32:
             assert y.tobytes() == one_band.tobytes()
+        # the weight gradient runs last, on the forward's bands
+        forward_bands = list(bands)
+        g = rng.standard_normal((out_ch, h, w)).astype(dtype)
+        _, _, want_gw = conv_reference(x, kernel.weights, kernel.bias, g)
+        _, gw, gb = conv2d_backward(x, kernel, g)
+        assert bands[-len(forward_bands):] == forward_bands
+        assert gw.dtype == gb.dtype == dtype
+        assert np.allclose(gw, want_gw, rtol=tol, atol=tol)
+        assert np.allclose(gb, g.sum(axis=(1, 2), dtype=np.float64),
+                           rtol=tol, atol=tol)
+
+    def test_weight_gradient_memory_is_banded(self):
+        # layer 1 (256 -> 128, 3x3) at 256x256 with a float64 upstream
+        # gradient, as in a training step: the whole-image padded input and
+        # upstream gradient took 199 MB
+        rng = np.random.default_rng(6)
+        x = rng.random((256, 256, 256), dtype=np.float32)
+        kernel = ConvKernel(np.zeros((128, 256, 3, 3), np.float32),
+                            np.zeros(128, np.float32))
+        g = rng.standard_normal((128, 256, 256))
+        tracemalloc.start()
+        try:
+            ndtensor._param_grads(x, kernel, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_predict_memory_is_banded(self):
         # one 256x256 map: the whole-image float64 buffers of each layer

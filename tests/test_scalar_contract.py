@@ -133,9 +133,10 @@ def test_non_finite_parameter_rejected(call, name, value):
     # sums to 1; it used to split 10 records into 9 train and 1 test
     (lambda v: imageio.split_manifest(_RECORDS, ratios=(0.9, v, 0.3)),
      r"ratios\[1\]", -0.2),
+    (lambda v: metrics.evaluate_pairs([_G], [_G], ci_n=v), "ci_n", 0),
 ], ids=["match-above-1", "match-below-0", "eval-match-above-1",
         "dice-target-above-1", "plateau-factor-0", "rotation-reversed",
-        "negative-split-ratio"])
+        "negative-split-ratio", "ci-n-0"])
 def test_out_of_range_parameter_rejected(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be in "):
         call(value)
@@ -149,3 +150,15 @@ def test_closed_ends_stay_accepted():
                           mirror_probability=1.0)
     losses.TverskyConfig(fn_weight=0.0)
     losses.MixedLossConfig(similarity_weight=0.0, mae_weight=0.0)
+
+
+# 2.7 was truncated to a CI over 2 trials; NaN raised int()'s message
+@pytest.mark.parametrize("value", [2.7, math.nan])
+def test_ci_n_must_be_an_integer(value):
+    with pytest.raises(ValueError, match=r"^ci_n must be an integer, got "):
+        metrics.evaluate_pairs([_G], [_G], ci_n=value)
+
+
+def test_integer_ci_n_accepted():
+    report, _ = metrics.evaluate_pairs([_G], [_G], ci_n=np.int64(3))
+    assert report.ci["n"] == 3
