@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DecodeError, NumericError, ShapeMismatchError, check_range
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
-from .metrics import (check_probabilities, confusion, require_2d,
+from .metrics import (_at_least, check_probabilities, confusion, require_2d,
                       require_chw, scalar_metrics)
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, _param_grads, adam_step,
@@ -69,9 +69,12 @@ def fuse_or(masks):
 
 
 def binarize(probmap, threshold=0.5):
-    """Hard mask from a probability map: foreground where p >= threshold."""
+    """Hard mask from a probability map: foreground where p >= threshold,
+    the same cut in any float dtype as in float64 (and as in ``metrics``)."""
     check_range(threshold, "threshold", 0, 1)
-    return (np.asarray(probmap) >= threshold).astype(np.uint8)
+    p = np.asarray(probmap)
+    cut = _at_least(threshold, p.dtype) if p.dtype.kind == "f" else threshold
+    return (p >= cut).astype(np.uint8)
 
 
 def fuse_max(probmaps, binarize_threshold=0.5):
@@ -381,8 +384,15 @@ def load_metalearner(path):
     """Load a "stack-metalearner-v1" model; a malformed one raises DecodeError."""
     path = Path(path)
     try:
-        meta = json.loads(path.read_bytes())
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        text = path.read_bytes().decode("utf-8")
+        meta = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"unparseable meta-learner header: {exc}",
+                          offset=exc.start, path=path) from None
+    except json.JSONDecodeError as exc:  # pos counts characters, offset bytes
+        raise DecodeError(f"unparseable meta-learner header: {exc}",
+                          offset=len(text[:exc.pos].encode()), path=path) from None
+    except ValueError as exc:  # an integer past Python's digit limit
         raise DecodeError(f"unparseable meta-learner header: {exc}",
                           path=path) from None
     if not (isinstance(meta, dict) and meta.get("format") == "stack-metalearner-v1"):

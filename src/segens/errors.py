@@ -16,18 +16,23 @@ class DecodeError(ValueError):
     """A file could not be decoded.
 
     ``offset`` is the byte position at which decoding failed, when it is
-    known (None for failures that only surface after decompression).
+    known: for failures that only surface after decompression, the first
+    compressed chunk's. None where no byte is to blame, such as a model
+    header whose JSON parses but describes the wrong network.
     """
 
     def __init__(self, message, offset=None, path=None):
+        super().__init__(message)
         self.offset = offset
         self.path = path
-        parts = [message]
-        if offset is not None:
-            parts.append(f"at byte offset {offset}")
-        if path is not None:
-            parts.append(f"in {path}")
-        super().__init__(" ".join(parts))
+
+    def __str__(self):  # read late, so a caller may still set the offset
+        parts = [self.args[0]]
+        if self.offset is not None:
+            parts.append(f"at byte offset {self.offset}")
+        if self.path is not None:
+            parts.append(f"in {self.path}")
+        return " ".join(parts)
 
 
 class NumericError(ArithmeticError):

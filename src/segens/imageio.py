@@ -151,7 +151,7 @@ def _decode_png(data, path=None):
     if data[:8] != _PNG_SIG:
         raise DecodeError("bad PNG signature", offset=0, path=path)
     pos = 8
-    width = height = None
+    width = height = idat_at = None  # idat_at: the first IDAT chunk's offset
     idat = bytearray()
     while True:
         if pos + 8 > len(data):
@@ -189,6 +189,8 @@ def _decode_png(data, path=None):
                 raise DecodeError("interlaced PNG not supported",
                                   offset=dstart + 12, path=path)
         elif ctype == b"IDAT":
+            if idat_at is None:
+                idat_at = pos
             idat += payload
         elif ctype == b"IEND":
             break
@@ -203,17 +205,22 @@ def _decode_png(data, path=None):
         raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise DecodeError(f"PNG IDAT decompression failed: {exc}",
-                          path=path) from None
+                          offset=idat_at, path=path) from None
     if len(raw) > expected:
         raise DecodeError(f"PNG pixel data exceeds the expected {expected} bytes",
-                          path=path)
+                          offset=idat_at, path=path)
     if not inflater.eof:
-        raise DecodeError("PNG IDAT stream is incomplete", path=path)
+        raise DecodeError("PNG IDAT stream is incomplete", offset=idat_at,
+                          path=path)
     if len(raw) != expected:
         raise DecodeError(
             f"PNG pixel data length {len(raw)} != expected {expected}",
-            path=path)
-    return _unfilter_scanlines(raw, width, height, path=path)
+            offset=idat_at, path=path)
+    try:
+        return _unfilter_scanlines(raw, width, height, path=path)
+    except DecodeError as exc:  # a bad filter byte, inside the compressed data
+        exc.offset = idat_at
+        raise
 
 
 def _png_chunk(ctype, payload):
@@ -316,7 +323,9 @@ def load_feature_stack(path):
             f"got {len(payload)}", offset=nl + 1, path=path)
     arr = np.frombuffer(payload, dtype="<f4").reshape(c, h, w)
     if not np.isfinite(arr).all():
-        raise DecodeError("FST payload contains non-finite values", path=path)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        raise DecodeError("FST payload contains non-finite values",
+                          offset=nl + 1 + 4 * int(bad[0]), path=path)
     return arr.astype(np.float32)
 
 

@@ -7,7 +7,9 @@ Scalar metrics derive from hard confusion counts:
 
 0/0 cases return 0 by convention and are flagged in the report.
 Curves pool pixels across the whole image set (micro-averaging); at each
-threshold t the prediction is binarized as p >= t. The 11-point mAP is
+threshold t the prediction is binarized as p >= t. A float32 map is
+compared in float32, against the least float32 at or above t, so every
+count equals the one its float64 copy would give. The 11-point mAP is
 the mean over recall levels {0.0, 0.1, ..., 1.0} of the interpolated
 precision (the best precision among curve points whose recall reaches
 the level), and AUROC is the trapezoid over (FPR, TPR).
@@ -177,19 +179,37 @@ def default_threshold_grid():
 
 
 _END = object()
+_SCORED = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _at_least(t, dtype):
+    """The least value of ``dtype`` at or above each float64 ``t``.
+
+    For ``p`` of that dtype, ``p >= _at_least(t, p.dtype)`` equals the
+    float64 ``p >= t`` exactly, with no float64 copy of ``p``: the cast
+    rounds to a neighbour of ``t``, and where that is the one below,
+    ``nextafter`` steps to the one above.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    cut = t.astype(dtype)
+    return np.where(cut < t, np.nextafter(cut, np.inf), cut)
 
 
 def _checked_pairs(predictions, ground_truths):
-    """Yield each input pair, checked once, as (float64 prediction, bool
-    mask), reading both iterables in step. ValueError when either runs
-    out first or both are empty."""
+    """Yield each input pair, checked once, as (prediction, bool mask),
+    reading both iterables in step. A float32 or float64 prediction keeps
+    its dtype, which callers compare against ``_at_least`` cuts so that
+    counts equal the float64 counts; any other dtype becomes float64.
+    ValueError when either runs out first or both are empty."""
     gts = iter(ground_truths)
     count = 0
     for idx, p in enumerate(predictions):
         g = next(gts, _END)
         if g is _END:
             raise ValueError(f"more predictions than the {idx} ground truths")
-        p = np.asarray(p, dtype=np.float64)
+        p = np.asarray(p)
+        if p.dtype not in _SCORED:
+            p = p.astype(np.float64)
         check_probabilities(p, f"prediction {idx}")
         gb = as_binary(g, f"ground truth {idx}")
         if p.shape != gb.shape:
@@ -215,14 +235,16 @@ def _pooled_curve(pairs, thresholds):
             raise ValueError("thresholds must be a non-empty subset of [0, 1]")
         grid = np.unique(grid)
     grid = grid[::-1]  # strictly decreasing
+    cuts = {dt: _at_least(grid, dt) for dt in _SCORED}
 
     tp = fp = n_fg = n_bg = 0
     for p, gb in pairs:
         fg, bg = p[gb], p[~gb]  # fresh copies, so they sort in place
         fg.sort()
         bg.sort()
-        tp = tp + fg.size - np.searchsorted(fg, grid, side="left")
-        fp = fp + bg.size - np.searchsorted(bg, grid, side="left")
+        cut = cuts[p.dtype]
+        tp = tp + fg.size - np.searchsorted(fg, cut, side="left")
+        fp = fp + bg.size - np.searchsorted(bg, cut, side="left")
         n_fg += fg.size
         n_bg += bg.size
     precision = np.array([_ratio(t, t + f) for t, f in zip(tp, fp)])
@@ -361,10 +383,11 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
         check_range(ci_n, "ci_n", 1)
 
     counts = []
+    cuts = {dt: _at_least(threshold, dt) for dt in _SCORED}
 
     def with_hard_counts(pairs):
         for p, gb in pairs:
-            counts.append(_counts(p >= threshold, gb))
+            counts.append(_counts(p >= cuts[p.dtype], gb))
             yield p, gb
 
     curve = _pooled_curve(

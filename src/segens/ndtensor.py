@@ -88,11 +88,18 @@ class ConvKernel:
         return self.weights.shape[2], self.weights.shape[3]
 
 
+def _band_edges(h, stride, out_ch):
+    """Row edges that split H evenly into bands, each at most _BAND_BYTES
+    of an (out_ch, rows, stride) float64 buffer."""
+    rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
+    bands = -(-h // rows)
+    return [h * k // bands for k in range(bands + 1)]
+
+
 def _row_bands(x, kh, kw, out_ch):
     """Yield (r0, r1, flat, offsets) per band of output rows r0..r1-1.
 
-    Bands split H evenly, each at most _BAND_BYTES of an (out_ch, rows,
-    stride) float64 buffer, ``stride = W + 2*pw``. ``flat`` is image rows
+    Bands follow _band_edges, ``stride = W + 2*pw``. ``flat`` is image rows
     r0-ph .. r1+ph-1 (the ``kh//2`` halo; zeros outside the image) in
     float64 rows of ``stride``, flattened, plus ``2*pw`` trailing zeros,
     so tap (i, j) at ``o = i*stride + j`` reads ``flat[:, o:o + n]``,
@@ -103,9 +110,7 @@ def _row_bands(x, kh, kw, out_ch):
     ph, pw = kh // 2, kw // 2
     stride = w + 2 * pw
     offsets = [i * stride + j for i in range(kh) for j in range(kw)]
-    rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
-    bands = -(-h // rows)
-    edges = [h * k // bands for k in range(bands + 1)]
+    edges = _band_edges(h, stride, out_ch)
     for r0, r1 in zip(edges, edges[1:]):
         lo, hi = max(r0 - ph, 0), min(r1 + ph, h)
         span = (r1 - r0 + 2 * ph) * stride
@@ -158,9 +163,14 @@ def _correlate(x, weights, bias):
     wmat = np.ascontiguousarray(weights.transpose(0, 2, 3, 1),
                                 dtype=np.float64).reshape(out_ch, -1)
     bias = bias.astype(np.float64)[:, None]
+    # one accumulator and product buffer for every band, sized to the
+    # largest; each band uses a contiguous prefix, which BLAS writes as is
+    size = out_ch * stride * int(np.diff(_band_edges(h, stride, out_ch)).max())
+    acc_buf, tmp_buf = np.empty(size), np.empty(size)
     for r0, r1, flat, offsets in _row_bands(x, kh, kw, out_ch):
         n = (r1 - r0) * stride
-        acc, tmp = np.empty((out_ch, n)), np.empty((out_ch, n))
+        acc = acc_buf[:out_ch * n].reshape(out_ch, n)
+        tmp = tmp_buf[:out_ch * n].reshape(out_ch, n)
         for k, (taps, cols) in enumerate(_tap_groups(flat, offsets, n)):
             if k == 0:
                 np.matmul(wmat[:, taps], cols, out=acc)
@@ -197,7 +207,7 @@ def conv2d_backward(x, kernel, grad_out):
 def _param_grads(x, kernel, g):
     """(grad_weights, grad_bias) of conv2d_backward, summed over row bands."""
     out_ch, in_ch, kh, kw = kernel.weights.shape
-    _, h, w = x.shape
+    w = x.shape[2]
     stride = w + 2 * (kw // 2)
     gw = np.zeros((out_ch, kh * kw * in_ch))
     for r0, r1, flat, offsets in _row_bands(x, kh, kw, out_ch):
@@ -209,7 +219,7 @@ def _param_grads(x, kernel, g):
         for taps, cols in _tap_groups(flat, offsets, n):
             gw[:, taps] += gpad @ cols.T
     grad_weights = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2)
-    grad_bias = np.asarray(g, dtype=np.float64).reshape(out_ch, h * w).sum(axis=1)
+    grad_bias = g.reshape(out_ch, -1).sum(axis=1, dtype=np.float64)
     dt = _out_dtype(x, kernel.weights, g)
     grad_weights, grad_bias = grad_weights.astype(dt), grad_bias.astype(dt)
     if not (np.isfinite(grad_weights).all() and np.isfinite(grad_bias).all()):

@@ -10,8 +10,9 @@ from segens.ensemble import (HyperParams, MetaLearnerParams, binarize,
                              build_metalearner, fuse_and, fuse_max, fuse_or,
                              load_metalearner, predict_metalearner,
                              save_metalearner, train_metalearner)
-from segens.errors import NumericError, ShapeMismatchError
+from segens.errors import DecodeError, NumericError, ShapeMismatchError
 from segens.losses import TverskyConfig
+from segens.metrics import evaluate_pairs
 from segens.ndtensor import ConvKernel
 
 from _oracles import loss_and_grads_local_cache
@@ -93,6 +94,24 @@ class TestFusion:
             for m in maps:
                 assert (fused >= m).all()
             assert np.array_equal(mask, fuse_or([binarize(m, t) for m in maps]))
+
+    def test_binarize_cuts_where_eval_does(self):
+        # float32(0.7) is just below 0.7, so eval counts it as background
+        p = np.full((2, 2), np.float32(0.7))
+        report, _ = evaluate_pairs([p], [np.ones((2, 2), np.uint8)], threshold=0.7)
+        assert report.counts.fn == 4
+        assert not binarize(p, 0.7).any()
+        assert not fuse_max([p, p], binarize_threshold=0.7)[1].any()
+        assert binarize(np.nextafter(p, np.float32(1)), 0.7).all()
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_binarize_agrees_with_float64(self, dtype):
+        ts = np.linspace(0.0, 1.0, 101)
+        f = ts.astype(dtype)
+        m = np.concatenate([np.nextafter(f, dtype(0)), f,
+                            np.nextafter(f, dtype(1))]).reshape(3, -1)
+        for t in ts.tolist():  # Python floats, which numpy rounds to m's dtype
+            assert np.array_equal(binarize(m, t), binarize(m.astype(np.float64), t))
 
     def test_max_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -367,6 +386,23 @@ class TestSerialization:
         for ka, kb in zip(params.layers, back.layers):
             assert ka.weights.tobytes() == kb.weights.tobytes()
             assert ka.bias.tobytes() == kb.bias.tobytes()
+
+    @pytest.mark.parametrize("header, offset", [
+        ('{"format": "\u00e9", x}'.encode(), 17),  # character 16: e-acute is 2 bytes
+        (b'{"format": "\xff"}', 12),  # not UTF-8
+        (b'{"format": ', 11)])  # truncated
+    def test_unparseable_header_reports_byte_offset(self, tmp_path, header, offset):
+        path = tmp_path / "p.json"
+        path.write_bytes(header)
+        with pytest.raises(DecodeError, match="unparseable") as e:
+            load_metalearner(path)
+        assert e.value.offset == offset
+
+    def test_overlong_integer_header_is_decode_error(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"seed": ' + "9" * 5000 + "}")
+        with pytest.raises(DecodeError, match="unparseable"):
+            load_metalearner(path)
 
     def test_prediction_survives_round_trip(self, tmp_path, rng):
         params = build_metalearner(2, seed=8)

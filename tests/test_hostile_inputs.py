@@ -9,6 +9,9 @@ defect.
 """
 
 import random
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -75,3 +78,31 @@ def test_model_header_corpus(tmp_path):
     ensemble.save_metalearner(ensemble.build_metalearner(1, seed=0), path,
                               hyper=ensemble.HyperParams())
     assert _defects(path, ensemble.load_metalearner) == []
+
+
+def _png(width, height):
+    header = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + imageio._png_chunk(b"IHDR", header)
+            + imageio._png_chunk(b"IDAT", zlib.compress(bytes(8)))
+            + imageio._png_chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("name, data, load", [
+    ("huge.pgm", b"P5\n2000000000 2000000000\n255\n" + bytes(8),
+     imageio.load_gray),
+    ("huge.png", _png(2**31 - 1, 2**31 - 1), imageio.load_gray),
+    ("huge.fst", b"FST1100000 100000 100000\n" + bytes(8),
+     imageio.load_feature_stack)])
+def test_oversized_dims_rejected_without_allocating(tmp_path, name, data, load):
+    # each header promises far more pixels than memory holds; the decoder
+    # must compare the promise with the bytes present before allocating
+    path = tmp_path / name
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 1024:.0f} KB"

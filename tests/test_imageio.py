@@ -245,6 +245,8 @@ class TestPng:
             load_gray(path)
         assert e.value.offset == 8
 
+    IDAT_AT = 33  # the signature and the IHDR chunk come first
+
     @staticmethod
     def _gray_png(path, width, height, idat):
         header = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
@@ -271,19 +273,39 @@ class TestPng:
         path = self._gray_png(tmp_path / "bomb.png", 2, 2, idat)
         tracemalloc.start()
         try:
-            with pytest.raises(DecodeError, match="exceeds the expected 6 bytes"):
+            with pytest.raises(DecodeError, match="exceeds the expected 6 bytes") as e:
                 load_gray(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+        assert e.value.offset == self.IDAT_AT
 
     def test_incomplete_idat_stream_rejected(self, tmp_path):
         # all 6 pixel bytes are present; only the Adler-32 trailer is cut
         idat = zlib.compress(b"\x00\x01\x02" * 2)[:-4]
         path = self._gray_png(tmp_path / "cut.png", 2, 2, idat)
-        with pytest.raises(DecodeError, match="incomplete"):
+        with pytest.raises(DecodeError, match="incomplete") as e:
             load_gray(path)
+        assert e.value.offset == self.IDAT_AT
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\x00\x01\x02\x05\x03\x04", "invalid PNG scanline filter 5 in row 1"),
+        (b"\x00\x01\x02", "pixel data length 3 != expected 6"),
+        (None, "decompression failed")])
+    def test_pixel_data_errors_report_first_idat_offset(self, tmp_path, raw,
+                                                        message):
+        idat = b"not a zlib stream" if raw is None else zlib.compress(raw)
+        header = struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+        half = len(idat) // 2  # two IDAT chunks: the offset is the first's
+        path = tmp_path / "px.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", header)
+                         + _png_chunk(b"IDAT", idat[:half])
+                         + _png_chunk(b"IDAT", idat[half:])
+                         + _png_chunk(b"IEND", b""))
+        with pytest.raises(DecodeError, match=message) as e:
+            load_gray(path)
+        assert e.value.offset == self.IDAT_AT
 
     def test_crc_mismatch_detected(self, tmp_path, rng):
         img = rng.integers(0, 256, (4, 4), dtype=np.uint8)
@@ -352,11 +374,12 @@ class TestFst:
             load_feature_stack(path)
 
     def test_non_finite_payload_rejected(self, tmp_path):
-        payload = struct.pack("<f", float("inf"))
+        payload = struct.pack("<4f", 0.5, 1.0, float("inf"), float("nan"))
         path = tmp_path / "inf.fst"
-        path.write_bytes(b"FST1" + b"1 1 1\n" + payload)
-        with pytest.raises(DecodeError, match="non-finite"):
+        path.write_bytes(b"FST1" + b"1 2 2\n" + payload)
+        with pytest.raises(DecodeError, match="non-finite") as e:
             load_feature_stack(path)
+        assert e.value.offset == len(b"FST1" + b"1 2 2\n") + 8  # the third value
 
     def test_store_rejects_non_finite(self, tmp_path):
         # the one non-finite contract: NumericError (exit 4), no file written

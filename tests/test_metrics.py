@@ -399,6 +399,65 @@ class TestEvaluatePairs:
         assert curve.thresholds.size == 101
 
 
+class TestStoredDtype:
+    """A float32 map is scored in float32, against cuts rounded exactly."""
+
+    CUSTOM = [0.0, 0.2, 0.3, 0.7, 1 / 3, 0.999, 1.0]
+
+    @staticmethod
+    def _edge_maps(thresholds, seed=61, n=3, size=16):
+        # every pixel is float32(t) or one of its float32 neighbours
+        f = np.float32(thresholds)
+        values = np.unique(np.concatenate(
+            [np.nextafter(f, np.float32(0)), f, np.nextafter(f, np.float32(1))]))
+        rng = np.random.default_rng(seed)
+        preds = [rng.choice(values, (size, size)) for _ in range(n)]
+        gts = [(rng.random((size, size)) > 0.5).astype(np.uint8) for _ in range(n)]
+        return preds, gts
+
+    def test_thresholds_round_both_ways(self):
+        # the cases the cut must handle: float32(t) below t and above t
+        grid = default_threshold_grid()
+        for ts in (grid, np.array(self.CUSTOM)):
+            f = np.float32(ts).astype(np.float64)
+            assert (f < ts).any() and (f > ts).any()
+
+    @pytest.mark.parametrize("threshold, curve_thresholds",
+                             [(0.7, None), (0.2, CUSTOM), (0.3, CUSTOM)])
+    def test_float32_scores_equal_float64_scores(self, threshold,
+                                                 curve_thresholds):
+        ts = default_threshold_grid() if curve_thresholds is None else curve_thresholds
+        preds, gts = self._edge_maps(np.append(ts, threshold))
+        assert all(p.dtype == np.float32 for p in preds)
+        wide = [p.astype(np.float64) for p in preds]
+        got, got_curve = evaluate_pairs(preds, gts, threshold=threshold,
+                                        curve_thresholds=curve_thresholds)
+        want, want_curve = evaluate_pairs(wide, gts, threshold=threshold,
+                                          curve_thresholds=curve_thresholds)
+        assert got.to_dict() == want.to_dict()
+        curve = pr_roc_curves(preds, gts, thresholds=curve_thresholds)
+        for name in ("thresholds", "precision", "recall", "tpr", "fpr"):
+            assert np.array_equal(getattr(got_curve, name), getattr(want_curve, name))
+            assert np.array_equal(getattr(curve, name), getattr(want_curve, name))
+        oracle = curve_oracle(preds, gts, want_curve.thresholds)
+        assert [r[1:] for r in oracle] == list(zip(
+            want_curve.precision, want_curve.recall, want_curve.tpr, want_curve.fpr))
+
+    def test_float32_maps_are_not_widened(self):
+        # a float64 copy of one 256x256 map is 512 KB, and its foreground
+        # and background copies another 512 KB
+        rng = np.random.default_rng(62)
+        gts = [(rng.random((256, 256)) > 0.6).astype(np.uint8) for _ in range(3)]
+        preds = [rng.random((256, 256), dtype=np.float32) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            evaluate_pairs(preds, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 1024:.0f} KB"
+
+
 class TestStreaming:
     """Both entry points read any pair of iterables once, image by image."""
 
