@@ -68,9 +68,8 @@ def _resample_pair(image, mask, inv):
     """Apply the inverse-map affine ``inv`` (2x2, row/col) about the center."""
     h, w = image.shape
     cy, cx = h / 2.0, w / 2.0
-    rows, cols = np.meshgrid(np.arange(h) + 0.5, np.arange(w) + 0.5, indexing="ij")
-    dy = rows - cy
-    dx = cols - cx
+    dy = (np.arange(h) + 0.5 - cy)[:, None]
+    dx = (np.arange(w) + 0.5 - cx)[None, :]
     sy = inv[0][0] * dy + inv[0][1] * dx + cy
     sx = inv[1][0] * dy + inv[1][1] * dx + cx
     return (sample(image, sy, sx, "bilinear", "zero"),

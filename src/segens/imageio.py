@@ -197,6 +197,8 @@ def _decode_png(data, path=None):
         pos = dend + 4
     if width is None:
         raise DecodeError("PNG missing IHDR", offset=8, path=path)
+    if idat_at is None:
+        raise DecodeError("PNG has no IDAT chunk", offset=pos, path=path)
     expected = (width + 1) * height
     # Inflate at most one byte past the expected size, so a small file
     # cannot expand to gigabytes before the length check rejects it.
@@ -332,13 +334,13 @@ def load_feature_stack(path):
 # ---------------------------------------------------------------------------
 # Resampling
 
-def _gather(arr, ii, jj, border):
-    h, w = arr.shape
-    vals = arr[np.clip(ii, 0, h - 1), np.clip(jj, 0, w - 1)]
-    if border == "zero":
-        inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-        vals = np.where(inside, vals, arr.dtype.type(0))
-    return vals
+# Output pixels per chunk of sample(), so each float64 temporary is 64 KB.
+_CHUNK_PIXELS = 8192
+
+
+def _padded(i, n):
+    """Index ``i`` on an n-long axis padded by one pixel: past an edge is its pad."""
+    return np.clip(i, -1, n) + 1
 
 
 def sample(arr, sy, sx, mode, border):
@@ -351,29 +353,44 @@ def sample(arr, sy, sx, mode, border):
     "bilinear" blends the four nearest centers, rounding half up for
     uint8 and returning float32 otherwise. ``border`` says what lies
     outside the array: "clamp" repeats the edge pixels, "zero" is 0.
+
+    The output is filled _CHUNK_PIXELS at a time, one flat gather per
+    neighbour from ``arr`` padded by one border pixel.
     """
     if border not in ("clamp", "zero"):
         raise ValueError(f"unknown border rule {border!r}")
-    if mode == "nearest":
-        return _gather(arr, np.floor(sy).astype(np.int64),
-                       np.floor(sx).astype(np.int64), border)
-    if mode != "bilinear":
+    if mode not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resampling mode {mode!r}")
-    u = sy - 0.5
-    v = sx - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    fy = u - i0
-    fx = v - j0
-    acc = np.zeros(np.broadcast_shapes(np.shape(sy), np.shape(sx)))
-    src = arr.astype(np.float64)
-    for di, wy in ((0, 1.0 - fy), (1, fy)):
-        for dj, wx in ((0, 1.0 - fx), (1, fx)):
-            vals = _gather(src, i0 + di, j0 + dj, border)
-            acc += wy * wx * vals
-    if arr.dtype == np.uint8:
-        return np.clip(np.floor(acc + 0.5), 0, 255).astype(np.uint8)
-    return acc.astype(np.float32)
+    h, w = arr.shape
+    shape = np.broadcast_shapes(np.shape(sy), np.shape(sx))
+    sy, sx = np.atleast_1d(sy, sx)
+    out = np.empty(np.broadcast_shapes(sy.shape, sx.shape),
+                   arr.dtype if mode == "nearest" or arr.dtype == np.uint8
+                   else np.float32)
+    flat = np.pad(arr if mode == "nearest" else arr.astype(np.float64), 1,
+                  "edge" if border == "clamp" else "constant").ravel()
+    rows = max(1, _CHUNK_PIXELS // max(1, math.prod(out.shape[1:])))
+    for r in range(0, len(out), rows):
+        # a coordinate array spans the chunk's rows unless broadcast along them
+        y, x = (a[r:r + rows] if a.ndim == out.ndim and len(a) > 1 else a
+                for a in (sy, sx))
+        if mode == "nearest":
+            i, j = np.floor(y).astype(np.int64), np.floor(x).astype(np.int64)
+            out[r:r + rows] = flat.take(_padded(i, h) * (w + 2) + _padded(j, w))
+            continue
+        u, v = y - 0.5, x - 0.5
+        i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
+        fy, fx = u - i0, v - j0
+        ii = [_padded(i0 + d, h) * (w + 2) for d in (0, 1)]
+        jj = [_padded(j0 + d, w) for d in (0, 1)]
+        acc = np.zeros(out[r:r + rows].shape)
+        for di, wy in ((0, 1.0 - fy), (1, fy)):
+            for dj, wx in ((0, 1.0 - fx), (1, fx)):
+                acc += wy * wx * flat.take(ii[di] + jj[dj])
+        # the assignment casts as .astype does
+        out[r:r + rows] = (np.clip(np.floor(acc + 0.5), 0, 255)
+                           if out.dtype == np.uint8 else acc)
+    return out.reshape(shape)
 
 
 def resize(image, size=(256, 256), mode="bilinear"):

@@ -118,6 +118,7 @@ def _row_bands(x, kh, kw, out_ch):
         padded = flat[:, :span].reshape(ch, -1, stride)
         padded[:, lo - r0 + ph:hi - r0 + ph, pw:pw + w] = x[:, lo:hi]
         yield r0, r1, flat, offsets
+        del flat, padded  # the caller drops its band too, so one is alive
 
 
 def _tap_groups(flat, offsets, n):
@@ -142,6 +143,8 @@ def _check_channels(x, kernel):
         raise ShapeMismatchError(
             f"input has {x.shape[0]} channels but kernel expects {kernel.in_channels}"
         )
+    if 0 in x.shape[1:]:
+        raise ShapeMismatchError(f"input has an empty spatial dim, shape {x.shape}")
     return x
 
 
@@ -181,6 +184,7 @@ def _correlate(x, weights, bias):
         # checked after the cast, which overflows to inf past float32's range
         if not np.isfinite(out[:, r0:r1]).all():
             raise NumericError("convolution produced non-finite values")
+        del flat, cols
     return out
 
 
@@ -218,6 +222,7 @@ def _param_grads(x, kernel, g):
         gpad = gpad.reshape(out_ch, n)
         for taps, cols in _tap_groups(flat, offsets, n):
             gw[:, taps] += gpad @ cols.T
+        del flat, cols, gpad
     grad_weights = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2)
     grad_bias = g.reshape(out_ch, -1).sum(axis=1, dtype=np.float64)
     dt = _out_dtype(x, kernel.weights, g)

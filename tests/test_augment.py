@@ -1,5 +1,7 @@
 """Affine transforms, sampled parameter ranges, and dataset generation."""
 
+import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,20 @@ class TestRotate:
         for angle in (-10, 5.5, 33.3):
             _, m2 = rotate(img, mask, angle)
             assert set(np.unique(m2)) <= {0, 1}
+
+    def test_memory_is_chunked(self):
+        # a 256x256 pair: whole-grid float64 and int64 sampler temporaries
+        # peaked at 11 MB
+        rng = np.random.default_rng(63)
+        img = rng.integers(0, 256, (256, 256), dtype=np.uint8)
+        mask = (rng.random((256, 256)) > 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            rotate(img, mask, 7.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_non_finite_angle_rejected(self, pair):
         with pytest.raises(ValueError):
@@ -265,6 +281,53 @@ class TestAugmentDataset:
                 (tmp_path / "ref_image.png").read_bytes()
             assert Path(rec.gtmask).read_bytes() == \
                 (tmp_path / "ref_mask.png").read_bytes()
+
+
+# sha256 of each output of augment_dataset(AugmentConfig(count=6, seed=5))
+# over _seed_dataset(n=3, size=48): PGM file bytes, decoded PNG rasters (so
+# the zlib build does not matter). Seed 5 draws every source, both mirror
+# states, both rotation signs and zooms on both sides of 1.
+PINNED_OUTPUTS = {
+    "aug00000_image.pgm": "3737948fd4b5bb1775b2b5daef07d81d4f262239d12edeecf0a263717ebea6cd",
+    "aug00000_mask.pgm": "63fe8da39fa9985bf898a2331f565bd2179f1d7bf65aa841ead8c840f43653df",
+    "aug00001_image.pgm": "3f6a645090aa72357cd1b82a99bfd150a972fa9a5c7aec68adab8bc6b14ef745",
+    "aug00001_mask.pgm": "440f5e36700723193f1d2a1bcbc81c44b2092a7d0c536086202c76bd6eadc4fa",
+    "aug00002_image.pgm": "be137d6a40ecafa314b7dc85e55bf9ccf248ffbca6b5a964185f23870eff3881",
+    "aug00002_mask.pgm": "a5d9eab6d672497dfbe99e223432ef901d25a5101396685ae40abda7f11ed3ce",
+    "aug00003_image.pgm": "0d0132f8be281554897d24fb6afd1eae2f8eea97277d3e28adab7dd1152eb9d9",
+    "aug00003_mask.pgm": "a1126da60b5c5c35a6b6afcee97ee0795a6c4278b5dd6c2d46c171aea871ef03",
+    "aug00004_image.pgm": "107ff4e46da115643824a45f7eadf1024667b7ea6ffc38086162e122c7965cb1",
+    "aug00004_mask.pgm": "62a81264a61cb1081bbf0f5421e1efe673a15797d51c22059b26e2782d75f4d5",
+    "aug00005_image.pgm": "44cf5aee032d560ef93752a97b6e2c6f39e0fc72a33f8db84e91136d78493278",
+    "aug00005_mask.pgm": "2eadf437ba039a594f12236c9c30ee1ad237dbfcc17f31380098342c3c6e1557",
+    "aug00000_image.png": "5e68b086bb171f845160651978eeda7b28e809f8060d24aa55b938ebb5b30eb7",
+    "aug00000_mask.png": "b3a63bb3e2ef49c047e8287a7d99f5650c87f395582b95d1bb14582607412c0c",
+    "aug00001_image.png": "77104f5a326f0b999923a147a42ce4d6add44bfc2e867554a64345c0fc7803bb",
+    "aug00001_mask.png": "a1bdc72e8f5fbb0bf2cd62b0cf686457b7d0b496408b4ab70ffcd30e0830d4f1",
+    "aug00002_image.png": "e70d12705777242dd4cc245544dfe82f98c3cd0bee5922faafb0762b4aa50790",
+    "aug00002_mask.png": "5a6cf20b845009e1fc19afbdbb4a9bc2d56f561dec5c159a6c2a900b0b2525e2",
+    "aug00003_image.png": "024d15a230c06d63e8a32af1e00aab10543859568449e9f0ac32b7a0f1187ba2",
+    "aug00003_mask.png": "ebf5c31bb54ba3c09224f73562d58f8596ea580c18547ce4a46438139d1acff6",
+    "aug00004_image.png": "597ef9cef89b5124c2e39001e40becc62eb0ee018b38f7b429fdab6d64d93df1",
+    "aug00004_mask.png": "96c32c8ee6656b105dc110aed972a501b1a2f8fde4f53086e26905b4a17ddee7",
+    "aug00005_image.png": "d425f682dcfb0282153f67e0ffb5f4877203e2a88e1c4b5577990f39d1e16bd6",
+    "aug00005_mask.png": "d806078e2c49b48f5070a2f6715af3c297c39b8b4edd23921ea55a6a3b5d9b04",
+}
+
+
+@pytest.mark.parametrize("fmt", ["pgm", "png"])
+def test_outputs_match_pinned_hashes(tmp_path, fmt):
+    records = _seed_dataset(tmp_path, n=3, size=48, ext=fmt)
+    augment_dataset(records, AugmentConfig(count=6, seed=5), tmp_path / "aug",
+                    image_format=fmt)
+    got = {}
+    for path in sorted((tmp_path / "aug").iterdir()):
+        data = path.read_bytes() if fmt == "pgm" else load_gray(path).tobytes()
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    want = {k: v for k, v in PINNED_OUTPUTS.items() if k.endswith(fmt)}
+    assert got.keys() == want.keys()
+    moved = [name for name in want if got[name] != want[name]]
+    assert not moved, f"outputs changed: {moved}"
 
 
 class TestDefectiveSources:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from segens import ensemble, imageio
+from segens.cli import main
 from segens.errors import DecodeError
 
 SEED = 2024
@@ -106,3 +107,17 @@ def test_oversized_dims_rejected_without_allocating(tmp_path, name, data, load):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak / 1024:.0f} KB"
+
+
+def test_png_without_idat_names_the_missing_chunk(tmp_path):
+    # IHDR then IEND: the empty pixel stream read as an incomplete one,
+    # with no offset
+    header = struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+    path = tmp_path / "no_idat.png"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + imageio._png_chunk(b"IHDR", header)
+                     + imageio._png_chunk(b"IEND", b""))
+    with pytest.raises(DecodeError, match="PNG has no IDAT chunk") as e:
+        imageio.load_gray(path)
+    assert e.value.offset == 8 + 12 + len(header)  # the IEND chunk
+    assert main(["bu-preview", "--mask", str(path),
+                 "--out", str(tmp_path / "soft.pgm")]) == 2

@@ -479,6 +479,33 @@ class TestSample:
             vectors = sample(arr, ys[:, None], xs[None, :], mode, border)
             assert np.array_equal(vectors, want)
 
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    @pytest.mark.parametrize("border", ["clamp", "zero"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_grids_spanning_several_chunks(self, rng, mode, border, dtype):
+        # 97 x 211 outputs take three chunks of rows, the last one partial,
+        # and their coordinates reach far past every edge of a 9 x 13 source
+        h, w, oh, ow = 9, 13, 97, 211
+        rows = imageio._CHUNK_PIXELS // ow
+        assert oh > 2 * rows and oh % rows
+        if dtype == np.uint8:
+            arr = rng.integers(0, 256, (h, w)).astype(np.uint8)
+        else:
+            arr = rng.random((h, w)).astype(np.float32)
+        ys = np.linspace(-3 * h, 4 * h, oh) + rng.uniform(-0.5, 0.5, oh)
+        xs = np.linspace(-3 * w, 4 * w, ow) + rng.uniform(-0.5, 0.5, ow)
+        gy, gx = np.meshgrid(ys, xs, indexing="ij")
+        # a full grid no pair of vectors spans: sheared, with jitter
+        sy = gy + 0.3 * gx + rng.uniform(-1, 1, gy.shape)
+        sx = gx - 0.2 * gy + rng.uniform(-1, 1, gx.shape)
+        out = sample(arr, sy, sx, mode, border)
+        want = reference_sample(arr, sy, sx, mode, border)
+        assert out.dtype == want.dtype
+        assert np.array_equal(out, want)
+        want = reference_sample(arr, gy, gx, mode, border)
+        for vy, vx in ((ys[:, None], xs[None, :]), (gy, xs), (ys[:, None], gx)):
+            assert np.array_equal(sample(arr, vy, vx, mode, border), want)
+
     def test_uint8_rounds_half_up(self):
         arr = np.array([[0, 1]], np.uint8)
         assert sample(arr, np.array([0.5]), np.array([1.0]), "bilinear", "clamp")[0] == 1

@@ -112,6 +112,14 @@ class TestConvForward:
         with pytest.raises(ShapeMismatchError, match="2 channels.*expects 3"):
             conv2d_forward(x, kernel)
 
+    @pytest.mark.parametrize("h, w", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_spatial_dim_rejected(self, h, w):
+        # a zero height divided by a band count of 0 (ZeroDivisionError)
+        kernel = ConvKernel(np.zeros((2, 3, 3, 3), np.float32),
+                            np.zeros(2, np.float32))
+        with pytest.raises(ShapeMismatchError, match="empty spatial dim"):
+            conv2d_forward(np.zeros((3, h, w), np.float32), kernel)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             ConvKernel(np.zeros((1, 1, 2, 2), np.float32), np.zeros(1, np.float32))
@@ -155,6 +163,14 @@ class TestConvBackward:
         x, kernel = random_instance(rng, in_ch=1, out_ch=2)
         with pytest.raises(ShapeMismatchError):
             conv2d_backward(x, kernel, np.zeros((2, 5, 5), np.float32))
+
+    @pytest.mark.parametrize("h, w", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_spatial_dim_rejected(self, h, w):
+        kernel = ConvKernel(np.zeros((2, 3, 3, 3), np.float32),
+                            np.zeros(2, np.float32))
+        with pytest.raises(ShapeMismatchError, match="empty spatial dim"):
+            conv2d_backward(np.zeros((3, h, w), np.float32), kernel,
+                            np.zeros((2, h, w), np.float32))
 
     # (x, weights, grad_out): every gradient overflows float32, then
     # only the weight gradient, then only the bias gradient
@@ -334,6 +350,21 @@ class TestBandedForward:
             finally:
                 tracemalloc.stop()
             assert peak < 40 * 2**20, f"{g.dtype}: peak {peak / 2**20:.0f} MB"
+
+    def test_forward_holds_one_band_input(self):
+        # layer 1 (256 -> 128, 3x3) at 256x256: the 32 MB output, 7.6 MB of
+        # accumulator and product buffers and one 8.6 MB band input; 58 MB
+        # while the previous band stayed alive as the next was built
+        x = np.random.default_rng(7).random((256, 256, 256), dtype=np.float32)
+        kernel = ConvKernel(np.zeros((128, 256, 3, 3), np.float32),
+                            np.zeros(128, np.float32))
+        tracemalloc.start()
+        try:
+            conv2d_forward(x, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 54 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_predict_memory_is_banded(self):
         # one 256x256 map: the whole-image float64 buffers of each layer
