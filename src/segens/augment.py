@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_range
+from .errors import ShapeMismatchError, check_int, check_range
 from .imageio import (ManifestRecord, load_gray, load_mask, sample, store_gray,
                       store_mask)
 from .metrics import require_2d
@@ -45,8 +45,8 @@ class AugmentConfig:
         check_range(zlo, "zoom_factors[0]", 0, lo_open=True)
         check_range(zhi, "zoom_factors[1]", zlo)
         check_range(self.mirror_probability, "mirror_probability", 0, 1)
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
+        check_int(self.count, "count", 0)
+        check_int(self.seed, "seed", 0)
 
 
 def _check_pair(image, mask):

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError, ShapeMismatchError, check_range
+from .errors import (DecodeError, NumericError, ShapeMismatchError, check_int,
+                     check_range)
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
 from .metrics import (_at_least, check_probabilities, confusion, require_2d,
@@ -140,8 +141,7 @@ class MetaLearnerParams:
 def build_metalearner(in_channels, seed=0):
     """He fan-in initialization for the ReLU stack, a smaller fan-in
     scale for the sigmoid head, zero biases."""
-    if in_channels < 1:
-        raise ValueError(f"in_channels must be >= 1, got {in_channels}")
+    check_int(in_channels, "in_channels", 1)
     rng = np.random.default_rng(seed)
     layers = []
     c_in = in_channels
@@ -211,10 +211,10 @@ class HyperParams:
         check_range(self.plateau_factor, "plateau_factor", 0, 1, lo_open=True)
         if self.dice_target is not None:
             check_range(self.dice_target, "dice_target", 0, 1)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        check_int(self.epochs, "epochs", 0)
+        check_int(self.batch_size, "batch_size", 1)
+        check_int(self.seed, "seed", 0)
+        check_int(self.plateau_patience, "plateau_patience", 1)
 
 
 @dataclass
@@ -243,27 +243,24 @@ def _hard_dice(prediction, gt_mask):
     return scalar_metrics(c)["dice"] if c.tp + c.fp + c.fn else 1.0
 
 
-def _prepare_pairs(pairs, boundary, what):
-    stacks, gts, softs = [], [], []
-    channels = None
+def _prepare_pairs(pairs, boundary, what, channels):
+    """Each (stack, mask) sample checked once, against the model's input
+    ``channels``, as a (stack, mask, soft labels) triple."""
+    out = []
     for idx, (stack, gt) in enumerate(pairs):
         arr = require_chw(np.asarray(stack, dtype=np.float32),
                           f"{what} sample {idx}: stack")
-        if channels is None:
-            channels = arr.shape[0]
-        elif arr.shape[0] != channels:
+        if arr.shape[0] != channels:
             raise ShapeMismatchError(
-                f"{what} sample {idx} has {arr.shape[0]} channels but sample 0 "
-                f"has {channels}")
+                f"{what} sample {idx} has {arr.shape[0]} channels but the model "
+                f"expects {channels}")
         gt = np.asarray(gt)
         if gt.shape != arr.shape[1:]:
             raise ShapeMismatchError(
                 f"{what} sample {idx}: mask shape {gt.shape} != stack spatial "
                 f"dims {arr.shape[1:]}")
-        stacks.append(arr)
-        gts.append(gt)
-        softs.append(boundary_soft_labels(gt, boundary).astype(np.float32))
-    return stacks, gts, softs, channels
+        out.append((arr, gt, boundary_soft_labels(gt, boundary).astype(np.float32)))
+    return out
 
 
 def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
@@ -283,27 +280,20 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
     train_pairs = list(train_pairs)
     if not train_pairs:
         raise ValueError("training set is empty")
-    stacks, gts, softs, channels = _prepare_pairs(train_pairs, boundary, "train")
-    val_stacks, _, val_softs, val_channels = _prepare_pairs(
-        list(val_pairs), boundary, "validation")
-    if val_channels is not None and val_channels != channels:
-        raise ShapeMismatchError(
-            f"validation stacks have {val_channels} channels, train has {channels}")
-
+    channels = init_params.in_channels if init_params else require_chw(
+        train_pairs[0][0], "train sample 0: stack").shape[0]
+    train = _prepare_pairs(train_pairs, boundary, "train", channels)
+    val = _prepare_pairs(val_pairs, boundary, "validation", channels)
     params = init_params or build_metalearner(channels, hyper.seed)
-    if params.in_channels != channels:
-        raise ShapeMismatchError(
-            f"initial params expect {params.in_channels} channels, data has "
-            f"{channels}")
     arrays = params.parameter_arrays()
     state = AdamState.fresh(arrays, hyper.learning_rate)
     shuffle_rng = np.random.default_rng((hyper.seed, 1))
 
-    run = TrainRun(hyper=hyper, input_channels=channels)
+    run = TrainRun(hyper=hyper, input_channels=params.in_channels)
     best_loss = math.inf
     best_arrays = [a.copy() for a in arrays]
     stale = 0
-    n = len(stacks)
+    n = len(train)
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(n)
         sample_losses = []
@@ -313,14 +303,14 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
             batch = order[start:start + hyper.batch_size]
             acc = [np.zeros(a.shape, dtype=np.float64) for a in arrays]
             for idx in batch:
-                loss, pred, grads = _loss_and_grads(
-                    current, stacks[idx], softs[idx], tversky)
+                stack, gt, soft = train[idx]
+                loss, pred, grads = _loss_and_grads(current, stack, soft, tversky)
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}, "
                         f"sample {idx}")
                 sample_losses.append(loss)
-                sample_dices.append(_hard_dice(pred, gts[idx]))
+                sample_dices.append(_hard_dice(pred, gt))
                 for a, g in zip(acc, grads):
                     a += g
             scale = 1.0 / len(batch)
@@ -328,11 +318,11 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
             current = MetaLearnerParams.from_arrays(arrays, seed=params.seed)
         run.train_loss.append(math.fsum(sample_losses) / n)
         run.train_dice.append(math.fsum(sample_dices) / n)
-        if val_stacks:
+        if val:
             v_losses = [
                 focal_tversky_loss(vs, predict_metalearner(current, vstack),
                                    tversky)[0]
-                for vstack, vs in zip(val_stacks, val_softs)]
+                for vstack, _, vs in val]
             run.val_loss.append(math.fsum(v_losses) / len(v_losses))
             monitored = run.val_loss[-1]
         else:

@@ -6,6 +6,7 @@ errors (``ValueError``) exit 1.
 """
 
 import math
+import operator
 
 
 class ShapeMismatchError(ValueError):
@@ -44,9 +45,20 @@ def check_range(x, name, lo=-math.inf, hi=math.inf, lo_open=False,
     """``x``, unless it is NaN, infinite or outside the range from ``lo``
     to ``hi``: then ValueError naming ``name`` and the range. Each bound
     is closed unless marked open; an infinite bound is always open."""
-    if not (math.isfinite(x) and (lo < x if lo_open else lo <= x)
+    # not math.isfinite, which overflows on an int past float range
+    if not (-math.inf < x < math.inf and (lo < x if lo_open else lo <= x)
             and (x < hi if hi_open else x <= hi)):
         left = "(" if lo_open or math.isinf(lo) else "["
         right = ")" if hi_open or math.isinf(hi) else "]"
         raise ValueError(f"{name} must be in {left}{lo}, {hi}{right}, got {x}")
     return x
+
+
+def check_int(x, name, lo=-math.inf, hi=math.inf):
+    """``x`` as an int, unless it is not an integer (a float, even a whole
+    one, or NaN: ValueError) or is outside [lo, hi] (as ``check_range``)."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    return check_range(x, name, lo, hi)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError, check_range
+from .errors import DecodeError, NumericError, check_int, check_range
 from .metrics import as_binary, check_probabilities, require_2d, require_chw
 
 SPLITS = ("train", "validation", "test")
@@ -255,8 +255,15 @@ def load_gray(path):
 
 
 def store_gray(image, path):
-    """Write a uint8 (H, W) image; PNG when the path ends in .png, else PGM."""
-    arr = require_2d(image, "image").astype(np.uint8)
+    """Write an (H, W) image; PNG when the path ends in .png, else PGM.
+    uint8 and bool are written as they are; any other dtype must hold
+    integers in [0, 255], else NumericError (non-finite) or ValueError."""
+    arr = require_2d(image, "image")
+    if arr.dtype != np.uint8 and arr.dtype != bool:
+        check_probabilities(arr, "image", top=255)
+        if (arr % 1).any():
+            raise ValueError("image values must be integers")
+    arr = arr.astype(np.uint8)
     path = Path(path)
     data = _encode_png(arr) if path.suffix.lower() == ".png" else _encode_pgm(arr)
     path.write_bytes(data)
@@ -403,8 +410,8 @@ def resize(image, size=(256, 256), mode="bilinear"):
     """
     arr = require_2d(image, "image")
     h, w = arr.shape
-    oh, ow = int(size[0]), int(size[1])
-    if h == 0 or w == 0 or oh <= 0 or ow <= 0:
+    oh, ow = (check_int(n, f"size[{i}]", 1) for i, n in enumerate(size))
+    if h == 0 or w == 0:
         raise ValueError(f"cannot resize {h}x{w} to {oh}x{ow}")
     sy = ((np.arange(oh) + 0.5) * (h / oh))[:, None]
     sx = ((np.arange(ow) + 0.5) * (w / ow))[None, :]
@@ -484,8 +491,9 @@ def split_manifest(records, ratios=(0.7, 0.2, 0.1), seed=0, counts=None):
         val_n = int(ratios[1] * n)
         train_n = n - val_n - test_n
     else:
-        train_n, val_n, test_n = (int(c) for c in counts)
-        if train_n + val_n + test_n != n or min(train_n, val_n, test_n) < 0:
+        train_n, val_n, test_n = (check_int(c, f"counts[{i}]", 0)
+                                  for i, c in enumerate(counts))
+        if train_n + val_n + test_n != n:
             raise ValueError(
                 f"counts {counts} do not partition {n} records")
     order = np.random.default_rng(seed).permutation(n)

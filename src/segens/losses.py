@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_range
+from .errors import ShapeMismatchError, check_int, check_range
 from .metrics import require_2d
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
@@ -61,10 +61,9 @@ class MixedLossConfig:
     def __post_init__(self):
         check_range(self.similarity_weight, "similarity_weight", 0)
         check_range(self.mae_weight, "mae_weight", 0)
-        if not 1 <= self.scales <= len(_SCALE_WEIGHTS):
-            raise ValueError(f"scales must be in 1..{len(_SCALE_WEIGHTS)}")
-        if self.window_size < 3 or self.window_size % 2 == 0:
-            raise ValueError(f"window_size must be odd and >= 3, got {self.window_size}")
+        check_int(self.scales, "scales", 1, len(_SCALE_WEIGHTS))
+        if check_int(self.window_size, "window_size", 3) % 2 == 0:
+            raise ValueError(f"window_size must be odd, got {self.window_size}")
         check_range(self.window_sigma, "window_sigma", 0, lo_open=True)
 
 

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import stats
-from .errors import NumericError, ShapeMismatchError, check_range
+from .errors import NumericError, ShapeMismatchError, check_int, check_range
 
 _METRIC_NAMES = ("iou", "dice", "precision", "recall")
 
@@ -44,8 +43,8 @@ class ConfusionCounts:
     tn: int
 
     def __post_init__(self):
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise ValueError("confusion counts must be non-negative")
+        for name in ("tp", "fp", "fn", "tn"):
+            check_int(getattr(self, name), name, 0)
 
     @property
     def total(self):
@@ -86,17 +85,17 @@ def as_binary(x, name):
     return mask
 
 
-def check_probabilities(p, name):
-    """Raise unless every value of ``p`` is a finite number in [0, 1].
+def check_probabilities(p, name, top=1):
+    """Raise unless every value of ``p`` is a finite number in [0, top].
 
-    Non-finite values raise NumericError, finite ones outside [0, 1]
+    Non-finite values raise NumericError, finite ones outside [0, top]
     ValueError. min and max propagate NaN, so they cover both checks.
     """
     lo, hi = float(np.min(p)), float(np.max(p))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite values")
-    if lo < 0.0 or hi > 1.0:
-        raise ValueError(f"{name} has values outside [0, 1]")
+    if lo < 0.0 or hi > top:
+        raise ValueError(f"{name} has values outside [0, {top}]")
 
 
 def confusion(pred, gt):
@@ -296,34 +295,22 @@ def mask_level_match(pred, gt, iou_threshold=0.5):
     the result is a ConfusionCounts rather than a single label.
     """
     check_range(iou_threshold, "iou_threshold", 0, 1)
-    return _match_counts(confusion(pred, gt), iou_threshold)
+    return _MATCH_TALLIES[_match_label(confusion(pred, gt), iou_threshold)]
 
 
-def _match_counts(c, iou_threshold):
-    """``mask_level_match`` from the pixel tallies of the pair: the
+_MATCH_TALLIES = {"TP": ConfusionCounts(1, 0, 0, 0), "FP": ConfusionCounts(0, 1, 0, 0),
+                  "FN": ConfusionCounts(0, 0, 1, 0), "TN": ConfusionCounts(0, 0, 0, 1),
+                  "FP+FN": ConfusionCounts(0, 1, 1, 0)}
+
+
+def _match_label(c, iou_threshold):
+    """The whole-mask outcome from the pixel tallies of the pair: the
     intersection is tp and the union tp + fp + fn."""
-    p_any, g_any = c.tp + c.fp > 0, c.tp + c.fn > 0
-    if not p_any and not g_any:
-        return ConfusionCounts(0, 0, 0, 1)
-    if p_any and not g_any:
-        return ConfusionCounts(0, 1, 0, 0)
-    if not p_any and g_any:
-        return ConfusionCounts(0, 0, 1, 0)
-    if c.tp / (c.tp + c.fp + c.fn) > iou_threshold:
-        return ConfusionCounts(1, 0, 0, 0)
-    return ConfusionCounts(0, 1, 1, 0)
-
-
-def _match_label(counts):
-    if counts.tp:
-        return "TP"
-    if counts.fp and counts.fn:
-        return "FP+FN"
-    if counts.fp:
+    if c.tp + c.fp == 0:
+        return "FN" if c.fn else "TN"
+    if c.tp + c.fn == 0:
         return "FP"
-    if counts.fn:
-        return "FN"
-    return "TN"
+    return "TP" if c.tp / (c.tp + c.fp + c.fn) > iou_threshold else "FP+FN"
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +363,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     check_range(threshold, "threshold", 0, 1)
     check_range(iou_match_threshold, "iou_match_threshold", 0, 1)
     if ci_n is not None:
-        try:
-            ci_n = operator.index(ci_n)
-        except TypeError:
-            raise ValueError(f"ci_n must be an integer, got {ci_n!r}") from None
-        check_range(ci_n, "ci_n", 1)
+        ci_n = check_int(ci_n, "ci_n", 1)
 
     counts = []
     cuts = {dt: _at_least(threshold, dt) for dt in _SCORED}
@@ -398,12 +381,12 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     match_tally = ConfusionCounts(0, 0, 0, 0)
     for idx, c in enumerate(counts):
         pooled = pooled + c
-        m = _match_counts(c, iou_match_threshold)
-        match_tally = match_tally + m
+        label = _match_label(c, iou_match_threshold)
+        match_tally = match_tally + _MATCH_TALLIES[label]
         row = {"index": idx}
         row.update(scalar_metrics(c))
         row.update(c.to_dict())
-        row["mask_match"] = _match_label(m)
+        row["mask_match"] = label
         per_image.append(row)
 
     aggregate = scalar_metrics(pooled)

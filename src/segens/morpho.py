@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, check_int
 from .metrics import as_binary, require_2d
 
 
@@ -62,8 +62,7 @@ _FLAT3 = StructuringElement.flat(3)
 
 def _morph(x, element, iterations, op):
     arr = require_2d(x, "image")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    check_int(iterations, "iterations", 1)
     a = element.values.shape[0] // 2
     b = element.values.shape[1] // 2
     h, w = arr.shape
@@ -119,8 +118,7 @@ class BoundaryUncertaintyConfig:
             raise ValueError(
                 "labels must satisfy 0 <= exterior <= interior <= 1, got "
                 f"exterior={self.exterior_label}, interior={self.interior_label}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        check_int(self.iterations, "iterations", 1)
 
 
 def boundary_soft_labels(mask, config=None):

@@ -524,6 +524,54 @@ class TestExitCodes:
         assert "manifest is not UTF-8 at byte offset 9" in err
         assert not (tmp_path / "preds").exists()
 
+    def test_record_without_stacks_or_maps_is_one(self, tmp_path, rng, capsys):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=2, n_val=0)
+        records = imageio.read_manifest(mpath)
+        imageio.write_manifest([records[0], replace(records[1], fsts=())], mpath)
+        assert main(["stack", "train", "--manifest", str(mpath),
+                     "--params", str(tmp_path / "p.json")]) == 1
+        assert "neither feature stacks nor prediction maps" in capsys.readouterr().err
+
+    def test_stacks_disagreeing_on_spatial_dims_is_three(self, tmp_path, rng,
+                                                         capsys):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        small = tmp_path / "small.fst"
+        imageio.store_feature_stack(np.zeros((1, 4, 4), np.float32), small)
+        record = imageio.read_manifest(mpath)[0]
+        imageio.write_manifest([replace(record, fsts=record.fsts + (str(small),))],
+                               mpath)
+        assert main(["stack", "train", "--manifest", str(mpath),
+                     "--params", str(tmp_path / "p.json")]) == 3
+        assert "disagree on spatial dims" in capsys.readouterr().err
+
+    def test_predict_on_an_empty_split_is_one(self, tmp_path, rng, capsys):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        assert main(["stack", "predict", "--manifest", str(mpath), "--split",
+                     "test", "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 1
+        assert "no manifest records to predict" in capsys.readouterr().err
+        assert not (tmp_path / "preds").exists()
+
+    def test_empty_train_split_is_one(self, tmp_path, rng, capsys):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        assert main(["stack", "train", "--manifest", str(mpath), "--train-split",
+                     "test", "--params", str(tmp_path / "p.json")]) == 1
+        assert "no records in split 'test'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inputs", [[], ["--pred", "p.pgm"], ["--gt", "g.pgm"]])
+    def test_eval_without_inputs_is_one(self, capsys, inputs):
+        assert main(["eval", *inputs]) == 1
+        assert "eval needs either --manifest or both --pred and --gt" in \
+            capsys.readouterr().err
+
+    def test_manifest_record_without_prediction_is_one(self, tmp_path, rng,
+                                                       capsys):
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        assert main(["eval", "--manifest", str(mpath), "--split", "train"]) == 1
+        assert "has no prediction path" in capsys.readouterr().err
+
     def test_shape_mismatch_is_three(self, tmp_path, rng):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"

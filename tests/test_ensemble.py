@@ -296,6 +296,47 @@ class TestTraining:
         with pytest.raises(ShapeMismatchError, match="channels"):
             train_metalearner(bad, hyper=HyperParams(epochs=1))
 
+    def test_validation_channels_checked_against_the_model(self):
+        pairs = self._tiny_pairs()
+        val = self._tiny_pairs(seed=9, n=2, channels=3)
+        with pytest.raises(ShapeMismatchError,
+                           match="validation sample 0 has 3 channels but the "
+                                 "model expects 2"):
+            train_metalearner(pairs, val, hyper=HyperParams(epochs=1))
+
+    def test_init_params_mismatch_reported_at_sample_0_first(self):
+        # sample 1's mask does not fit its stack, but sample 0 already
+        # disagrees with the model's channel count, and is checked first
+        pairs = self._tiny_pairs()
+        pairs[1] = (pairs[1][0], np.zeros((3, 3), np.uint8))
+        with pytest.raises(ShapeMismatchError,
+                           match="train sample 0 has 2 channels but the "
+                                 "model expects 3"):
+            train_metalearner(pairs, hyper=HyperParams(epochs=1),
+                              init_params=build_metalearner(3, seed=0))
+
+    def test_plateau_halves_the_rate_every_patience_epochs(self, monkeypatch):
+        # a constant loss never improves after epoch 0, so with patience 2
+        # the rate halves after epochs 2 and 4
+        def flat(params, stack, soft, tversky):
+            grads = [np.zeros(a.shape) for a in params.parameter_arrays()]
+            return 0.5, np.zeros(stack.shape[1:], np.float32), grads
+
+        rates = []
+        real_step = ensemble.adam_step
+
+        def spy(arrays, grads, state):
+            rates.append(state.learning_rate)
+            return real_step(arrays, grads, state)
+
+        monkeypatch.setattr(ensemble, "_loss_and_grads", flat)
+        monkeypatch.setattr(ensemble, "adam_step", spy)
+        lr = 1e-3
+        hyper = HyperParams(learning_rate=lr, epochs=6, batch_size=1,
+                            plateau_patience=2, plateau_factor=0.5)
+        train_metalearner(self._tiny_pairs(n=1), hyper=hyper)
+        assert rates == [lr, lr, lr, lr / 2, lr / 2, lr / 4]
+
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_metalearner([], hyper=HyperParams(epochs=1))

@@ -1,4 +1,4 @@
-"""A seeded hostile-input corpus for the decoders.
+"""A seeded hostile-input corpus for the decoders and the manifest.
 
 Each valid file is truncated at every byte offset and has every byte
 flipped twice: its top bit, and a nonzero mask drawn from a seeded RNG.
@@ -6,12 +6,19 @@ Every case must decode, or raise ``DecodeError`` or ``OSError``; the
 CLI maps both to exit 2. Any other exception (``struct.error``,
 ``IndexError``, ``KeyError``, a ``ValueError`` that exits 1, ...) is a
 defect.
+
+Manifests are truncated, bit-flipped and given inserted bytes at seeded
+offsets, and run through every command that reads one. A manifest that
+``read_manifest`` rejects must exit 2 (``DecodeError``) or 1 (any other
+``ValueError``); one it reads may exit 0, 1 or 2. No case may end in a
+traceback.
 """
 
 import random
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,3 +128,80 @@ def test_png_without_idat_names_the_missing_chunk(tmp_path):
     assert e.value.offset == 8 + 12 + len(header)  # the IEND chunk
     assert main(["bu-preview", "--mask", str(path),
                  "--out", str(tmp_path / "soft.pgm")]) == 2
+
+
+# command -> (manifest lines, the first input path it reads, extra argv)
+_MANIFEST_COMMANDS = {
+    "eval": (["test\t\tg0.pgm\tp0.pgm", "test\t\tg1.pgm\tp1.pgm"], "p0.pgm",
+             ["eval"]),
+    "stack train": (["train\t\tg0.pgm\t\ts0.fst", "validation\t\tg1.pgm\t\ts1.fst"],
+                    "s0.fst", ["stack", "train", "--epochs", "1",
+                               "--params", "{out}/params.json"]),
+    "stack predict": (["test\ti0.pgm\t\t\ts0.fst", "test\ti1.pgm\t\t\ts1.fst"],
+                      "s0.fst", ["stack", "predict", "--params", "model.json",
+                                 "--outdir", "{out}"]),
+    # both records share i0.pgm, so replacing it reaches whichever is drawn
+    "augment": (["train\ti0.pgm\tg0.pgm", "train\ti0.pgm\tg1.pgm"], "i0.pgm",
+                ["augment", "--count", "2", "--outdir", "{out}",
+                 "--out-manifest", "{out}.tsv"]),
+}
+
+
+def _manifest_mutants(data, seed=SEED, n=8):
+    rng = random.Random(seed)
+    for _ in range(n):
+        k = rng.randrange(len(data))
+        yield f"truncated to {k} bytes", data[:k]
+        i, mask = rng.randrange(len(data)), 1 << rng.randrange(8)
+        flipped = data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+        yield f"byte {i} xor {mask:#04x}", flipped
+        i, byte = rng.randrange(len(data) + 1), rng.randrange(256)
+        yield f"byte {byte:#04x} inserted at {i}", data[:i] + bytes([byte]) + data[i:]
+
+
+def _expected_codes(path):
+    try:
+        imageio.read_manifest(path)
+    except DecodeError:
+        return {2}
+    except ValueError:
+        return {1}
+    return {0, 1, 2}
+
+
+@pytest.mark.parametrize("command", _MANIFEST_COMMANDS)
+def test_manifest_corpus(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(7)
+    for i in range(2):
+        imageio.store_gray(rng.integers(0, 256, (6, 6), dtype=np.uint8), f"i{i}.pgm")
+        imageio.store_mask(np.eye(6, dtype=np.uint8), f"g{i}.pgm")
+        imageio.store_probmap(rng.random((6, 6)), f"p{i}.pgm")
+        imageio.store_feature_stack(rng.random((2, 6, 6), dtype=np.float32),
+                                    f"s{i}.fst")
+    (tmp_path / "junk.bin").write_bytes(b"NOTANIMAGE")
+    ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), "model.json")
+    lines, first_read, argv = _MANIFEST_COMMANDS[command]
+    valid = "\n".join(lines) + "\n"
+    cases = [("valid", valid.encode(), {0}),
+             ("six fields", (valid + "\t".join(["test"] * 6) + "\n").encode(), {1}),
+             ("unknown split", valid.replace("t", "x", 1).encode(), {1}),
+             ("missing file", valid.replace(first_read, "absent.pgm").encode(), {2}),
+             ("undecodable file", valid.replace(first_read, "junk.bin").encode(), {2})]
+    cases += [(case, data, None) for case, data in _manifest_mutants(valid.encode())]
+    bad, seen = [], set()
+    for k, (case, data, want) in enumerate(cases):
+        Path("m.tsv").write_bytes(data)
+        want = want or _expected_codes("m.tsv")
+        run = [a.format(out=f"out{k}") for a in argv] + ["--manifest", "m.tsv"]
+        try:
+            code = main(run)
+        except Exception as exc:  # a traceback is the defect
+            bad.append(f"{case}: {type(exc).__name__}: {exc}")
+            continue
+        seen.add(code)
+        if code not in want:
+            bad.append(f"{case}: exit {code}, want one of {sorted(want)}")
+    capsys.readouterr()
+    assert bad == []
+    assert {0, 1, 2} <= seen

@@ -88,6 +88,30 @@ class TestPgm:
             load_gray(path)
 
 
+class TestStoreGray:
+    # [[300, -1], [2.7, 7]] used to be written as 44, 255, 2, 7, and NaN as
+    # 0 with only a RuntimeWarning
+    @pytest.mark.parametrize("suffix", [".pgm", ".png"])
+    @pytest.mark.parametrize("bad, error", [
+        ([[300, -1], [2.7, 7]], ValueError), ([[300, 1]], ValueError),
+        ([[-1, 1]], ValueError), ([[2.5, 1]], ValueError),
+        ([[math.nan, 1]], NumericError), ([[math.inf, 1]], NumericError)])
+    def test_values_that_do_not_fit_a_byte_write_nothing(self, tmp_path, bad,
+                                                         error, suffix):
+        path = tmp_path / f"g{suffix}"
+        with pytest.raises(error):
+            store_gray(np.array(bad), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, bool])
+    def test_integral_values_written_as_bytes(self, tmp_path, dtype):
+        want = np.array([[0, 1], [1, 0]] if dtype is bool else [[0, 255], [7, 128]],
+                        np.uint8)
+        store_gray(want.astype(dtype), tmp_path / "g.pgm")
+        store_gray(want, tmp_path / "u8.pgm")
+        assert (tmp_path / "g.pgm").read_bytes() == (tmp_path / "u8.pgm").read_bytes()
+
+
 def _filter_scanline(ftype, line, prev):
     """Forward-filter one row so the decoder's unfiltering can be exercised."""
     out = bytearray()

@@ -1,5 +1,6 @@
-"""One check per scalar contract: ``errors.check_range``, and every
-numeric library parameter that goes through it."""
+"""One check per scalar contract: ``errors.check_range`` for real numbers,
+``errors.check_int`` for integers, and every numeric library parameter
+that goes through them."""
 
 import math
 import re
@@ -7,8 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from segens import augment, ensemble, imageio, losses, metrics, stats
-from segens.errors import check_range
+from segens import augment, ensemble, imageio, losses, metrics, morpho, stats
+from segens.cli import main
+from segens.errors import check_int, check_range
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -40,6 +42,31 @@ class TestCheckRange:
     def test_infinite_bound_is_shown_open(self):
         with pytest.raises(ValueError, match=re.escape("x must be in [0, inf), got -1")):
             check_range(-1, "x", 0)
+
+    def test_int_past_float_range_is_compared_exactly(self):
+        # math.isfinite would raise OverflowError, which exits with a traceback
+        assert check_range(10**400, "x", 0) == 10**400
+        with pytest.raises(ValueError, match=r"^x must be in \[0, 1\], got 1000"):
+            check_range(10**400, "x", 0, 1)
+
+
+class TestCheckInt:
+    def test_returns_a_python_int(self):
+        got = check_int(np.int64(3), "x", 1)
+        assert got == 3 and type(got) is int
+        assert check_int(0, "x", 0, 0) == 0
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, math.nan, math.inf,
+                                       np.float64(2.0), "2", None])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^x must be an integer, got "):
+            check_int(value, "x")
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "x must be in [1, 5], got 0"), (6, "x must be in [1, 5], got 6")])
+    def test_out_of_range_names_the_range(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_int(value, "x", 1, 5)
 
 
 _G = np.array([[0, 1], [1, 1]], np.uint8)
@@ -162,3 +189,102 @@ def test_ci_n_must_be_an_integer(value):
 def test_integer_ci_n_accepted():
     report, _ = metrics.evaluate_pairs([_G], [_G], ci_n=np.int64(3))
     assert report.ci["n"] == 3
+
+
+# (site, call taking the value, name the message gives, least valid value)
+INT_SITES = [
+    ("HyperParams.epochs", lambda v: ensemble.HyperParams(epochs=v), "epochs", 0),
+    ("HyperParams.batch_size",
+     lambda v: ensemble.HyperParams(batch_size=v), "batch_size", 1),
+    ("HyperParams.seed", lambda v: ensemble.HyperParams(seed=v), "seed", 0),
+    ("HyperParams.plateau_patience",
+     lambda v: ensemble.HyperParams(plateau_patience=v), "plateau_patience", 1),
+    ("build_metalearner", lambda v: ensemble.build_metalearner(v), "in_channels", 1),
+    ("AugmentConfig.count", lambda v: augment.AugmentConfig(count=v), "count", 0),
+    ("AugmentConfig.seed", lambda v: augment.AugmentConfig(seed=v), "seed", 0),
+    ("BoundaryUncertaintyConfig.iterations",
+     lambda v: morpho.BoundaryUncertaintyConfig(iterations=v), "iterations", 1),
+    ("dilate", lambda v: morpho.dilate(_G, iterations=v), "iterations", 1),
+    ("erode", lambda v: morpho.erode(_G, iterations=v), "iterations", 1),
+    ("MixedLossConfig.scales", lambda v: losses.MixedLossConfig(scales=v),
+     "scales", 1),
+    ("MixedLossConfig.window_size",
+     lambda v: losses.MixedLossConfig(window_size=v), "window_size", 3),
+    ("evaluate_pairs.ci_n",
+     lambda v: metrics.evaluate_pairs([_G], [_G], ci_n=v), "ci_n", 1),
+    ("split_manifest.counts",
+     lambda v: imageio.split_manifest(_RECORDS, counts=(v, 10 - v, 0)),
+     r"counts\[0\]", 0),
+    ("resize.size", lambda v: imageio.resize(_G, size=(v, 4)), r"size\[0\]", 1),
+]
+
+
+# Each of these floats used to be accepted: 2.5 epochs reached range() as
+# a TypeError traceback, counts (1.9, 1.1, 1) split 1/1/1 and size 2.7
+# resized to 2 rows; NaN patience never halved the rate.
+@pytest.mark.parametrize("value", [2.5, math.nan, 3.0])
+@pytest.mark.parametrize("call, name", [s[1:3] for s in INT_SITES],
+                         ids=[s[0] for s in INT_SITES])
+def test_non_integer_parameter_rejected(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, least", [s[1:] for s in INT_SITES],
+                         ids=[s[0] for s in INT_SITES])
+def test_integer_below_its_range_rejected(call, name, least):
+    with pytest.raises(ValueError, match=f"^{name} must be in \\[{least}, "):
+        call(least - 1)
+
+
+def test_integer_above_its_range_rejected():
+    with pytest.raises(ValueError, match=r"^scales must be in \[1, 5\], got 6"):
+        losses.MixedLossConfig(scales=6)
+
+
+def test_even_window_size_rejected():
+    with pytest.raises(ValueError, match="^window_size must be odd, got 4"):
+        losses.MixedLossConfig(window_size=4)
+
+
+def test_split_counts_still_partition():
+    with pytest.raises(ValueError, match="do not partition"):
+        imageio.split_manifest(_RECORDS, counts=(5, 4, 0))
+
+
+def test_least_integers_accepted():
+    ensemble.HyperParams(epochs=0, batch_size=1, seed=0, plateau_patience=1)
+    augment.AugmentConfig(count=0, seed=0)
+    morpho.BoundaryUncertaintyConfig(iterations=1)
+    losses.MixedLossConfig(scales=1, window_size=3)
+    assert imageio.resize(_G, size=(np.int64(1), 1)).shape == (1, 1)
+
+
+def _stack_manifest(tmp_path):
+    imageio.store_mask(_G, tmp_path / "gt.pgm")
+    imageio.store_feature_stack(np.ones((1, 2, 2), np.float32), tmp_path / "s.fst")
+    path = tmp_path / "m.tsv"
+    imageio.write_manifest([imageio.ManifestRecord(
+        "train", "i.pgm", str(tmp_path / "gt.pgm"), (),
+        (str(tmp_path / "s.fst"),))], path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["augment", "stack train"])
+def test_negative_seed_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                 command):
+    # it used to create --outdir, or decode every sample, and then exit 1
+    # with numpy's "expected non-negative integer", which names no parameter
+    decoded = []
+    monkeypatch.setattr(imageio, "load_gray", lambda p: decoded.append(p))
+    monkeypatch.setattr(imageio, "load_feature_stack", lambda p: decoded.append(p))
+    manifest = _stack_manifest(tmp_path)
+    out = tmp_path / "out"
+    argv = (["augment", "--manifest", str(manifest), "--outdir", str(out),
+             "--out-manifest", str(tmp_path / "aug.tsv")]
+            if command == "augment" else
+            ["stack", "train", "--manifest", str(manifest),
+             "--params", str(out / "params.json")])
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert "seed must be in [0, inf), got -1" in capsys.readouterr().err
+    assert not out.exists() and decoded == []
