@@ -317,8 +317,9 @@ def _cmd_ci(args):
     if args.method == "wald":
         interval = stats.wald_ci(args.dice, args.n, level=args.level)
     else:
-        interval = stats.clopper_pearson_ci(args.dice * args.n, args.n,
-                                            level=args.level)
+        # checked before dice * n, which overflows past float range
+        n = stats.check_trials(args.n)
+        interval = stats.clopper_pearson_ci(args.dice * n, n, level=args.level)
     print(json.dumps(interval.to_dict(), indent=2))
     return 0
 

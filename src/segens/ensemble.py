@@ -34,8 +34,10 @@ from .losses import TverskyConfig, focal_tversky_loss
 from .metrics import (_at_least, check_probabilities, confusion, require_2d,
                       require_chw, scalar_metrics)
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
-from .ndtensor import (AdamState, ConvKernel, _param_grads, adam_step,
-                       conv2d_backward, conv2d_forward, sigmoid_forward_backward)
+from .ndtensor import (AdamState, ConvKernel, _check_channels, _correlate,
+                       _out_dtype, _param_grads, adam_step, conv2d_backward,
+                       sigmoid_forward_backward)
+from .ndtensor import conv2d_forward  # noqa: F401 (perfbench wraps it here)
 
 _FILTERS = (256, 128, 64, 32, 1)
 _KERNEL_SIZES = (3, 3, 3, 3, 1)
@@ -157,16 +159,26 @@ def build_metalearner(in_channels, seed=0):
 
 
 def _forward(params, stack, inputs=None):
-    """Output and sigmoid derivative; each layer's input is appended to
-    ``inputs`` if given (backward's ReLU mask is next input > 0)."""
-    h = stack  # conv2d_forward checks its shape against the first layer
+    """Output and sigmoid derivative, with the layers chained as streams of
+    row bands, so no whole hidden activation exists unless ``inputs`` is
+    given: then each layer writes its bands into a whole array, and each
+    layer's whole input is appended to ``inputs`` for backward (whose ReLU
+    mask is next input > 0)."""
+    x = _check_channels(stack, params.layers[0])
+    h = x.shape[1]
+    bands = [(0, h, x)]
     for i, layer in enumerate(params.layers):
+        out = None
         if inputs is not None:
-            inputs.append(h)
-        h = conv2d_forward(h, layer)
+            inputs.append(x)
+            out = x = np.empty((layer.out_channels,) + x.shape[1:],
+                               _out_dtype(x, layer.weights, layer.bias))
+        bands = _correlate(bands, h, layer.weights, layer.bias, out)
         if i < len(params.layers) - 1:
-            np.maximum(h, 0, out=h)
-    return sigmoid_forward_backward(h)
+            bands = ((r0, r1, np.maximum(rows, 0, out=rows))
+                     for r0, r1, rows in bands)
+    return sigmoid_forward_backward(
+        np.concatenate([rows for _, _, rows in bands], axis=1))
 
 
 def predict_metalearner(params, stack):

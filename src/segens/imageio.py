@@ -445,7 +445,10 @@ def read_manifest(path):
         raise DecodeError("manifest is not UTF-8", offset=exc.start,
                           path=path) from None
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # records end at "\n" only: str.splitlines also breaks at \x0b, \x0c,
+    # \x1c-\x1e, \x85, U+2028 and U+2029, which then split one record in two
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")  # CRLF manifests read as LF ones
         if not line.strip():
             continue
         fields = line.split("\t")

@@ -11,13 +11,18 @@ exploit this: perturbing a float64 copy of any operand yields a fully
 Convolution is shift-and-accumulate (kn2row, arXiv:1704.04428): the input
 is zero-padded to float64, each kernel tap reads a shifted view of it,
 and the products ``W[:, :, i, j] @ view`` are summed into a float64
-accumulator whose pad columns are cropped. One loop does this, a band of
-output rows at a time (arXiv:1709.03395), holding the input, the output
-and one band's padded input, accumulator (_BAND_BYTES) and product
-buffer. It also gives backward's input gradient: grad_out correlated
-with the kernel turned 180 degrees, channels swapped (arXiv:1603.07285).
-The weight gradient sums ``grad_out_band @ view.T`` over the same bands,
-so no float64 buffer spans the whole image.
+accumulator whose pad columns are cropped. One generator does this, a
+band of output rows at a time (arXiv:1709.03395), holding one band's
+padded input, accumulator (_BAND_BYTES) and product buffer. It reads its
+input as a stream of row bands, keeping only those its later bands still
+read, and yields each output band as soon as it is done, so layers chain
+band by band (layer fusion, Alwani et al., MICRO 2016) with no
+whole-image activation between them. conv2d_forward feeds it a whole
+array as one band and has it write into one output array. It also gives
+backward's input gradient: grad_out correlated with the kernel turned 180
+degrees, channels swapped (arXiv:1603.07285). The weight gradient sums
+``grad_out_band @ view.T`` over the same bands, so no float64 buffer
+spans the whole image.
 
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
@@ -26,6 +31,7 @@ produce bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -96,29 +102,49 @@ def _band_edges(h, stride, out_ch):
     return [h * k // bands for k in range(bands + 1)]
 
 
-def _row_bands(x, kh, kw, out_ch):
+def _row_bands(bands, h, kh, kw, out_ch):
     """Yield (r0, r1, flat, offsets) per band of output rows r0..r1-1.
 
-    Bands follow _band_edges, ``stride = W + 2*pw``. ``flat`` is image rows
-    r0-ph .. r1+ph-1 (the ``kh//2`` halo; zeros outside the image) in
-    float64 rows of ``stride``, flattened, plus ``2*pw`` trailing zeros,
-    so tap (i, j) at ``o = i*stride + j`` reads ``flat[:, o:o + n]``,
-    ``n = (r1-r0)*stride``: output pixel (r0 + y, z) is its column
-    ``y*stride + z``, and the ``2*pw`` columns past ``W`` per row are junk.
+    ``bands`` yields (r0, r1, rows) bands of a (C, h, W) input in row
+    order; only those that the current band and the ones after it still
+    need are held. Bands follow _band_edges, ``stride = W + 2*pw``.
+    ``flat`` is image rows r0-ph .. r1+ph-1 (the ``kh//2`` halo; zeros
+    outside the image) in float64 rows of ``stride``, flattened, plus
+    ``2*pw`` trailing zeros, so tap (i, j) at ``o = i*stride + j`` reads
+    ``flat[:, o:o + n]``, ``n = (r1-r0)*stride``: output pixel (r0 + y, z)
+    is its column ``y*stride + z``, and the ``2*pw`` columns past ``W``
+    per row are junk.
     """
-    ch, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    stride = w + 2 * pw
+    bands = iter(bands)
+    held = [next(bands)]
+    end = held[0][1]  # input rows 0..end-1 have arrived
+    stride = held[0][2].shape[2] + 2 * pw
     offsets = [i * stride + j for i in range(kh) for j in range(kw)]
     edges = _band_edges(h, stride, out_ch)
     for r0, r1 in zip(edges, edges[1:]):
-        lo, hi = max(r0 - ph, 0), min(r1 + ph, h)
-        span = (r1 - r0 + 2 * ph) * stride
-        flat = np.zeros((ch, span + 2 * pw))
-        padded = flat[:, :span].reshape(ch, -1, stride)
-        padded[:, lo - r0 + ph:hi - r0 + ph, pw:pw + w] = x[:, lo:hi]
-        yield r0, r1, flat, offsets
-        del flat, padded  # the caller drops its band too, so one is alive
+        while end < min(r1 + ph, h):
+            held.append(next(bands))
+            end = held[-1][1]
+        if end == h:
+            next(bands, None)  # ends the input's stream, freeing what it holds
+        # built in the yield so that this frame keeps no reference to it
+        yield r0, r1, _take_band(held, r0, r1, ph, pw), offsets
+
+
+def _take_band(held, r0, r1, ph, pw):
+    """``flat`` of output rows r0..r1-1 (see _row_bands) from the held
+    input bands, which then keep only those that rows r1.. still read."""
+    ch, _, w = held[0][2].shape
+    lo, hi, stride = r0 - ph, r1 + ph, w + 2 * pw
+    flat = np.zeros((ch, (hi - lo) * stride + 2 * pw))
+    padded = flat[:, :(hi - lo) * stride].reshape(ch, -1, stride)
+    for b0, b1, rows in held:
+        a, z = max(b0, lo), min(b1, hi)
+        if a < z:
+            padded[:, a - lo:z - lo, pw:pw + w] = rows[:, a - b0:z - b0]
+    held[:] = [b for b in held if b[1] > r1 - ph]
+    return flat
 
 
 def _tap_groups(flat, offsets, n):
@@ -153,39 +179,58 @@ def conv2d_forward(x, kernel):
 
     Borders are zero padded so spatial dims are preserved.
     """
-    return _correlate(_check_channels(x, kernel), kernel.weights, kernel.bias)
+    return _correlate_whole(_check_channels(x, kernel), kernel.weights,
+                            kernel.bias)
 
 
-def _correlate(x, weights, bias):
-    """conv2d_forward on checked operands, one band of output rows at a time."""
+def _correlate_whole(x, weights, bias):
+    """_correlate of a whole (C, H, W) array into a new (O, H, W) one."""
+    h = x.shape[1]
+    out = np.empty((len(weights), h, x.shape[2]), _out_dtype(x, weights, bias))
+    for _ in _correlate([(0, h, x)], h, weights, bias, out):
+        pass
+    return out
+
+
+def _correlate(bands, h, weights, bias, out=None):
+    """conv2d_forward on checked operands as a stream of row bands.
+
+    ``bands`` yields (r0, r1, rows) bands of a (C, h, W) input in row
+    order; yields the output's (r0, r1, rows) on _band_edges, each band
+    computed as soon as the input rows it and its halo read have arrived.
+    ``rows`` is a view of ``out`` if given, an (O, h, W) array of the
+    output dtype, or else a new array.
+    """
     out_ch, _, kh, kw = weights.shape
-    _, h, w = x.shape
+    bands = iter(bands)
+    first = next(bands)
+    dt = _out_dtype(first[2], weights, bias)
+    w = first[2].shape[2]
     stride = w + 2 * (kw // 2)
-    out = np.empty((out_ch, h, w), dtype=_out_dtype(x, weights, bias))
     # weights as a float64 (O, kh*kw*C) matrix, tap-major like _tap_groups
     wmat = np.ascontiguousarray(weights.transpose(0, 2, 3, 1),
                                 dtype=np.float64).reshape(out_ch, -1)
     bias = bias.astype(np.float64)[:, None]
-    # one accumulator and product buffer for every band, sized to the
-    # largest; each band uses a contiguous prefix, which BLAS writes as is
-    size = out_ch * stride * int(np.diff(_band_edges(h, stride, out_ch)).max())
-    acc_buf, tmp_buf = np.empty(size), np.empty(size)
-    for r0, r1, flat, offsets in _row_bands(x, kh, kw, out_ch):
+    bands = _row_bands(chain([first], bands), h, kh, kw, out_ch)
+    del first  # held only as long as _row_bands needs it
+    for r0, r1, flat, offsets in bands:
         n = (r1 - r0) * stride
-        acc = acc_buf[:out_ch * n].reshape(out_ch, n)
-        tmp = tmp_buf[:out_ch * n].reshape(out_ch, n)
+        acc, tmp = np.empty((out_ch, n)), np.empty((out_ch, n))
         for k, (taps, cols) in enumerate(_tap_groups(flat, offsets, n)):
             if k == 0:
                 np.matmul(wmat[:, taps], cols, out=acc)
             else:
                 acc += np.matmul(wmat[:, taps], cols, out=tmp)
+        del flat, cols, tmp
         acc += bias
-        out[:, r0:r1] = acc.reshape(out_ch, r1 - r0, stride)[:, :, :w]
+        rows = (np.empty((out_ch, r1 - r0, w), dt) if out is None
+                else out[:, r0:r1])
+        rows[...] = acc.reshape(out_ch, r1 - r0, stride)[:, :, :w]
+        del acc
         # checked after the cast, which overflows to inf past float32's range
-        if not np.isfinite(out[:, r0:r1]).all():
+        if not np.isfinite(rows).all():
             raise NumericError("convolution produced non-finite values")
-        del flat, cols
-    return out
+        yield r0, r1, rows
 
 
 def conv2d_backward(x, kernel, grad_out):
@@ -203,18 +248,17 @@ def conv2d_backward(x, kernel, grad_out):
     # grad_out correlated with the kernel turned 180 degrees, channels
     # swapped; the zero bias carries the gradients' dtype
     flipped = kernel.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    grad_input = _correlate(
-        g, flipped, np.zeros(kernel.in_channels, _out_dtype(x, kernel.weights, g)))
-    return (grad_input,) + _param_grads(x, kernel, g)
+    zero = np.zeros(kernel.in_channels, _out_dtype(x, kernel.weights, g))
+    return (_correlate_whole(g, flipped, zero),) + _param_grads(x, kernel, g)
 
 
 def _param_grads(x, kernel, g):
     """(grad_weights, grad_bias) of conv2d_backward, summed over row bands."""
     out_ch, in_ch, kh, kw = kernel.weights.shape
-    w = x.shape[2]
+    _, h, w = x.shape
     stride = w + 2 * (kw // 2)
     gw = np.zeros((out_ch, kh * kw * in_ch))
-    for r0, r1, flat, offsets in _row_bands(x, kh, kw, out_ch):
+    for r0, r1, flat, offsets in _row_bands([(0, h, x)], h, kh, kw, out_ch):
         n = (r1 - r0) * stride
         # zeros in the junk columns keep them out of the weight gradient
         gpad = np.zeros((out_ch, r1 - r0, stride))

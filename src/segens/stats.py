@@ -25,6 +25,7 @@ approximation p = exp(-0.717 z - 0.416 z^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
@@ -50,10 +51,16 @@ class Interval:
         return asdict(self)
 
 
+def check_trials(n):
+    """``n``, unless it is below 1 or past float range, where the interval
+    arithmetic would overflow: then ValueError naming ``n``."""
+    return check_range(n, "n", 1, sys.float_info.max)
+
+
 def wald_ci(p_hat, n, level=0.95):
     check_range(level, "level", 0, 1, lo_open=True, hi_open=True)
     check_range(p_hat, "proportion", 0, 1)
-    check_range(n, "n", 1)
+    check_trials(n)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n)
     return Interval(estimate=p_hat, lower=max(0.0, p_hat - half),
@@ -141,7 +148,7 @@ def beta_quantile(q, a, b):
 
 def clopper_pearson_ci(successes, n, level=0.95):
     check_range(level, "level", 0, 1, lo_open=True, hi_open=True)
-    check_range(n, "n", 1)
+    check_trials(n)
     check_range(successes, "successes", 0, n)
     alpha = 1.0 - level
     if successes <= 0.0:

@@ -420,6 +420,13 @@ class TestCi:
     def test_invalid_numeric_input_exits_one(self):
         assert main(["ci", "--dice", "1.5", "--n", "33"]) == 1
 
+    @pytest.mark.parametrize("method", ["wald", "cp"])
+    def test_n_past_float_range_exits_one(self, capsys, method):
+        # a 401-digit count overflowed on its conversion to float
+        assert main(["ci", "--dice", "0.5", "--n", str(10**400),
+                     "--method", method]) == 1
+        assert "n must be in [1, " in capsys.readouterr().err
+
 
 class TestBuPreview:
     def test_degenerate_labels_reproduce_input(self, tmp_path, rng):
@@ -589,6 +596,21 @@ class TestExitCodes:
         monkeypatch.setattr(ensemble, "train_metalearner", explode)
         assert main(["stack", "train", "--manifest", str(mpath),
                      "--params", str(tmp_path / "p.json")]) == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_predict_overflow_in_a_middle_layer_is_four(self, tmp_path, rng):
+        mpath = make_stack_manifest(tmp_path, rng)
+        params = ensemble.build_metalearner(2, seed=0)
+        layers = list(params.layers)
+        layers[2] = replace(layers[2],
+                            weights=np.full_like(layers[2].weights, 1e37))
+        ensemble.save_metalearner(ensemble.MetaLearnerParams(tuple(layers)),
+                                  tmp_path / "p.json")
+        outdir = tmp_path / "preds"
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(tmp_path / "p.json"),
+                     "--outdir", str(outdir)]) == 4
+        assert not list(outdir.glob("*.pgm"))
 
     def test_validation_error_is_one(self, tmp_path, rng):
         preds, gts = make_eval_fixture(tmp_path, rng, n=2)

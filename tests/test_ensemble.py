@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segens import ensemble
+from segens import ensemble, ndtensor
 from segens.ensemble import (HyperParams, MetaLearnerParams, binarize,
                              build_metalearner, fuse_and, fuse_max, fuse_or,
                              load_metalearner, predict_metalearner,
@@ -13,7 +13,8 @@ from segens.ensemble import (HyperParams, MetaLearnerParams, binarize,
 from segens.errors import DecodeError, NumericError, ShapeMismatchError
 from segens.losses import TverskyConfig
 from segens.metrics import evaluate_pairs
-from segens.ndtensor import ConvKernel
+from segens.ndtensor import (ConvKernel, conv2d_forward,
+                             sigmoid_forward_backward)
 
 from _oracles import loss_and_grads_local_cache
 
@@ -207,6 +208,59 @@ class TestPredict:
             h = np.maximum(z, 0) if i < 4 else 1.0 / (1.0 + np.exp(-z))
         got = predict_metalearner(params, stack)
         assert np.allclose(got, h[0], atol=1e-5)
+
+    @staticmethod
+    def layer_at_a_time(params, stack):
+        """Each layer's whole output, then its ReLU, then the sigmoid."""
+        h = stack
+        for i, layer in enumerate(params.layers):
+            h = conv2d_forward(h, layer)
+            if i < len(params.layers) - 1:
+                np.maximum(h, 0, out=h)
+        return sigmoid_forward_backward(h)[0][0].astype(np.float32)
+
+    def test_streamed_bands_match_layer_at_a_time(self, rng, monkeypatch):
+        # a budget of two 3x3 layer-0 rows: 301, 151, 76, 38 and 2 bands of
+        # unequal heights, whose edges do not line up from layer to layer
+        h, w = 601, 20
+        params = build_metalearner(3, seed=5)
+        stack = rng.random((3, h, w), dtype=np.float32)
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * 256 * (w + 2) * 2)
+        edges = {}
+        band_edges = ndtensor._band_edges
+
+        def spy(rows, stride, out_ch):
+            edges[out_ch] = band_edges(rows, stride, out_ch)
+            return edges[out_ch]
+
+        monkeypatch.setattr(ndtensor, "_band_edges", spy)
+        got = predict_metalearner(params, stack)
+        assert sorted(edges) == [1, 32, 64, 128, 256]
+        for out_ch, e in edges.items():
+            assert len(e) > 2 and len(set(np.diff(e))) == 2, out_ch
+        assert got.tobytes() == self.layer_at_a_time(params, stack).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 1, 7), (3, 1, 1), (3, 37, 29)])
+    def test_streamed_forward_matches_layer_at_a_time(self, rng, shape):
+        params = build_metalearner(3, seed=6)
+        stack = rng.random(shape, dtype=np.float32)
+        got = predict_metalearner(params, stack)
+        assert got.tobytes() == self.layer_at_a_time(params, stack).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_middle_layer_overflow_raises(self, rng, monkeypatch):
+        # layer 2's float64 sums pass float32's range, in its first band
+        params = build_metalearner(3, seed=0)
+        layers = list(params.layers)
+        layers[2] = ConvKernel(np.full_like(layers[2].weights, 1e37),
+                               layers[2].bias)
+        params = MetaLearnerParams(tuple(layers))
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * 256 * 18 * 2)
+        with pytest.raises(NumericError, match="non-finite") as err:
+            predict_metalearner(params, rng.random((3, 16, 16),
+                                                   dtype=np.float32))
+        raised_in = err.traceback[-1].frame.f_locals
+        assert (raised_in["out_ch"], raised_in["r0"]) == (64, 0)
 
 
 def overfit_fixture(seed=0, n=8, size=32):

@@ -557,6 +557,27 @@ class TestManifest:
         write_manifest(records, path)
         assert read_manifest(path) == records
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_only_newline_ends_a_record(self, tmp_path, sep):
+        # str.splitlines read this line as two records
+        path = tmp_path / "m.tsv"
+        path.write_bytes(f"test\ta.pgm\tg.pgm{sep}train\tb.pgm\tc.pgm\n"
+                         .encode("utf-8"))
+        assert read_manifest(path) == [ManifestRecord(
+            "test", "a.pgm", f"g.pgm{sep}train", ("b.pgm",), ("c.pgm",))]
+
+    def test_crlf_manifest_reads_as_lf(self, tmp_path):
+        records = [ManifestRecord("train", "a.pgm", "b.pgm", ("p.pgm",)),
+                   ManifestRecord("test", "", "gt.pgm", (), ("f.fst",))]
+        path = tmp_path / "m.tsv"
+        write_manifest(records, path)
+        lf = path.read_bytes()
+        path.write_bytes(lf.replace(b"\n", b"\r\n"))
+        assert read_manifest(path) == records
+        # only one "\r" goes with the "\n"; another stays in the last field
+        path.write_bytes(lf.replace(b"\n", b"\r\r\n"))
+        assert [r.fsts for r in read_manifest(path)] == [("\r",), ("f.fst\r",)]
+
     def test_split_counts_336(self):
         out = split_manifest(self._records(336), seed=1)
         tags = [r.split for r in out]
