@@ -159,8 +159,10 @@ def build_metalearner(in_channels, seed=0):
 
 
 def _forward(params, stack, inputs=None):
-    """Output and sigmoid derivative, with the layers chained as streams of
-    row bands, so no whole hidden activation exists unless ``inputs`` is
+    """[output], or [output, sigmoid derivative] if ``inputs`` is given.
+
+    The layers are chained as streams of row bands and the sigmoid runs
+    per band, so no whole hidden activation exists unless ``inputs`` is
     given: then each layer writes its bands into a whole array, and each
     layer's whole input is appended to ``inputs`` for backward (whose ReLU
     mask is next input > 0)."""
@@ -177,14 +179,16 @@ def _forward(params, stack, inputs=None):
         if i < len(params.layers) - 1:
             bands = ((r0, r1, np.maximum(rows, 0, out=rows))
                      for r0, r1, rows in bands)
-    return sigmoid_forward_backward(
-        np.concatenate([rows for _, _, rows in bands], axis=1))
+    keep = 1 if inputs is None else 2
+    parts = zip(*(sigmoid_forward_backward(rows)[:keep]
+                  for _, _, rows in bands))
+    return [np.concatenate(p, axis=1) for p in parts]
 
 
 def predict_metalearner(params, stack):
     """Forward pass; returns an (H, W) probability map strictly in (0, 1)."""
-    out, _ = _forward(params, stack)
-    return out[0].astype(np.float32)
+    [out] = _forward(params, stack)
+    return out[0].astype(np.float32, copy=False)
 
 
 def _loss_and_grads(params, stack, soft_target, tversky):

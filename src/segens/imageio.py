@@ -290,9 +290,11 @@ def store_probmap(probmap, path):
     Non-finite values raise NumericError and values outside [0, 1]
     ValueError, before any file is written.
     """
-    arr = np.asarray(probmap, dtype=np.float64)
+    arr = np.array(probmap, dtype=np.float64)  # a copy, scaled in place
     check_probabilities(arr, "probability map")
-    store_gray(np.floor(arr * 255.0 + 0.5).astype(np.uint8), path)
+    arr *= 255.0
+    arr += 0.5
+    store_gray(np.floor(arr, out=arr).astype(np.uint8), path)
 
 
 # ---------------------------------------------------------------------------

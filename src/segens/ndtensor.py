@@ -13,7 +13,8 @@ is zero-padded to float64, each kernel tap reads a shifted view of it,
 and the products ``W[:, :, i, j] @ view`` are summed into a float64
 accumulator whose pad columns are cropped. One generator does this, a
 band of output rows at a time (arXiv:1709.03395), holding one band's
-padded input, accumulator (_BAND_BYTES) and product buffer. It reads its
+padded input, accumulator and product buffer, whose rows are sized
+together to _BAND_BYTES (see _band_edges). It reads its
 input as a stream of row bands, keeping only those its later bands still
 read, and yields each output band as soon as it is done, so layers chain
 band by band (layer fusion, Alwani et al., MICRO 2016) with no
@@ -41,7 +42,7 @@ from .metrics import require_chw
 
 # Largest C*kh*kw whose taps share one stacked GEMM (see _tap_groups).
 _STACKED_MAX_K = 64
-# Byte budget of one row band's (out_channels, rows, W + 2*pw) float64 buffer.
+# Byte budget of the float64 buffers of one row band, rows of W + 2*pw.
 _BAND_BYTES = 4 << 20
 
 
@@ -94,12 +95,14 @@ class ConvKernel:
         return self.weights.shape[2], self.weights.shape[3]
 
 
-def _band_edges(h, stride, out_ch):
-    """Row edges that split H evenly into bands, each at most _BAND_BYTES
-    of an (out_ch, rows, stride) float64 buffer."""
-    rows = max(1, _BAND_BYTES // (8 * out_ch * stride))
+def _band_edges(h, stride, channels):
+    """Yield (r0, r1) of bands that split H evenly, each at most _BAND_BYTES
+    of float64 buffers with ``channels`` rows of ``stride`` per output row:
+    a band's padded input (C_in, its halo rows aside) plus its accumulator
+    and product buffer (C_out each). A band has at least one row."""
+    rows = max(1, _BAND_BYTES // (8 * channels * stride))
     bands = -(-h // rows)
-    return [h * k // bands for k in range(bands + 1)]
+    return ((h * k // bands, h * (k + 1) // bands) for k in range(bands))
 
 
 def _row_bands(bands, h, kh, kw, out_ch):
@@ -107,7 +110,8 @@ def _row_bands(bands, h, kh, kw, out_ch):
 
     ``bands`` yields (r0, r1, rows) bands of a (C, h, W) input in row
     order; only those that the current band and the ones after it still
-    need are held. Bands follow _band_edges, ``stride = W + 2*pw``.
+    need are held. Bands follow _band_edges for ``C + 2*out_ch`` channels
+    and ``stride = W + 2*pw``.
     ``flat`` is image rows r0-ph .. r1+ph-1 (the ``kh//2`` halo; zeros
     outside the image) in float64 rows of ``stride``, flattened, plus
     ``2*pw`` trailing zeros, so tap (i, j) at ``o = i*stride + j`` reads
@@ -121,8 +125,7 @@ def _row_bands(bands, h, kh, kw, out_ch):
     end = held[0][1]  # input rows 0..end-1 have arrived
     stride = held[0][2].shape[2] + 2 * pw
     offsets = [i * stride + j for i in range(kh) for j in range(kw)]
-    edges = _band_edges(h, stride, out_ch)
-    for r0, r1 in zip(edges, edges[1:]):
+    for r0, r1 in _band_edges(h, stride, len(held[0][2]) + 2 * out_ch):
         while end < min(r1 + ph, h):
             held.append(next(bands))
             end = held[-1][1]

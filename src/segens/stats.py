@@ -15,7 +15,12 @@ normal-approximation intervals as exact ones:
 
 The beta quantile is found by bisection on the regularized incomplete
 beta function, which is evaluated with the standard continued-fraction
-expansion.
+expansion. That expansion needs more terms as n grows, and past about
+3e8 trials its 300 terms no longer converge near the quantiles (at
+p = 0.5 the interval comes out inverted); its prefactor's
+lgamma(a) + lgamma(b) - lgamma(a + b) also loses all precision near 1e16.
+So ``clopper_pearson_ci`` takes at most 1e8 trials, where both endpoints
+agree with an independent beta quantile to 1e-7 of the interval's width.
 
 ``p_from_ci`` recovers a two-sided p-value from a 95% interval via
 SE = (upper - lower) / (2 * 1.96), z = |estimate| / SE, and the
@@ -148,7 +153,7 @@ def beta_quantile(q, a, b):
 
 def clopper_pearson_ci(successes, n, level=0.95):
     check_range(level, "level", 0, 1, lo_open=True, hi_open=True)
-    check_trials(n)
+    check_range(n, "n", 1, 1e8)  # see the module docstring
     check_range(successes, "successes", 0, n)
     alpha = 1.0 - level
     if successes <= 0.0:

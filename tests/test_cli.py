@@ -427,6 +427,16 @@ class TestCi:
                      "--method", method]) == 1
         assert "n must be in [1, " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exp", [15, 16, 20, 308])
+    def test_clopper_pearson_past_its_trial_limit_exits_one(self, capsys,
+                                                           exp):
+        # 1e16 trials gave an inverted interval and 1e20 an OverflowError
+        # traceback from math.exp; past 1e8 the interval is not exact
+        assert main(["ci", "--dice", "0.3", "--n", str(10**exp),
+                     "--method", "cp"]) == 1
+        assert (f"n must be in [1, 100000000.0], got {10**exp}"
+                in capsys.readouterr().err)
+
 
 class TestBuPreview:
     def test_degenerate_labels_reproduce_input(self, tmp_path, rng):

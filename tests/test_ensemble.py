@@ -220,24 +220,28 @@ class TestPredict:
         return sigmoid_forward_backward(h)[0][0].astype(np.float32)
 
     def test_streamed_bands_match_layer_at_a_time(self, rng, monkeypatch):
-        # a budget of two 3x3 layer-0 rows: 301, 151, 76, 38 and 2 bands of
-        # unequal heights, whose edges do not line up from layer to layer
+        # a budget of three 3x3 layer-1 rows (256 input and 2 * 128 output
+        # channels): 301, 201, 101, 51 and 13 bands of unequal heights,
+        # whose edges do not line up from layer to layer
         h, w = 601, 20
         params = build_metalearner(3, seed=5)
         stack = rng.random((3, h, w), dtype=np.float32)
-        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * 256 * (w + 2) * 2)
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * 512 * (w + 2) * 3)
         edges = {}
         band_edges = ndtensor._band_edges
 
-        def spy(rows, stride, out_ch):
-            edges[out_ch] = band_edges(rows, stride, out_ch)
-            return edges[out_ch]
+        def spy(rows, stride, channels):
+            edges[channels] = list(band_edges(rows, stride, channels))
+            return iter(edges[channels])
 
         monkeypatch.setattr(ndtensor, "_band_edges", spy)
         got = predict_metalearner(params, stack)
-        assert sorted(edges) == [1, 32, 64, 128, 256]
-        for out_ch, e in edges.items():
-            assert len(e) > 2 and len(set(np.diff(e))) == 2, out_ch
+        # each layer's input channels plus twice its output channels
+        assert sorted(edges) == [34, 128, 256, 512, 515]
+        assert [len(edges[c]) for c in (515, 512, 256, 128, 34)] == [
+            301, 201, 101, 51, 13]
+        for channels, e in edges.items():
+            assert len({r1 - r0 for r0, r1 in e}) == 2, channels
         assert got.tobytes() == self.layer_at_a_time(params, stack).tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 1, 7), (3, 1, 1), (3, 37, 29)])

@@ -367,6 +367,32 @@ class TestProbMap:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             store_probmap(np.array([[1.5]]), tmp_path / "x.pgm")
 
+    def test_levels_match_formula_and_input_is_kept(self, tmp_path, rng):
+        # every exact half-level, its neighbours either side, and noise
+        halves = (np.arange(255) + 0.5) / 255
+        pm = np.concatenate([halves, np.nextafter(halves, 0),
+                             np.nextafter(halves, 1), rng.random(256),
+                             [0.0, 1.0]])[None, :]
+        kept = pm.copy()
+        path = tmp_path / "f.pgm"
+        store_probmap(pm, path)
+        assert pm.tobytes() == kept.tobytes()
+        want = np.floor(kept * 255.0 + 0.5).astype(np.uint8)
+        assert load_gray(path).tobytes() == want.tobytes()
+
+    def test_memory_is_one_float64_copy(self, tmp_path):
+        # a 1024x1024 float32 map traces 12 MB: one 8 MB float64 copy,
+        # scaled in place, and 1 MB copies of the 8-bit image and the PGM
+        # bytes; the copy, the scaled copy and its floor traced 24 MB
+        pm = np.random.default_rng(3).random((1024, 1024), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            store_probmap(pm, tmp_path / "big.pgm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestFst:
     def test_bit_exact_round_trip(self, tmp_path, rng):

@@ -277,7 +277,7 @@ class TestConvAgainstWindowReference:
             assert peak < bound, f"peak {peak / 2**20:.0f} MB"
 
 
-# (in_ch, out_ch, k, h, w, accumulator rows per band): several bands
+# (in_ch, out_ch, k, h, w, output rows per band): several bands
 # with halos at both ends and unequal heights (7 rows as 1+2+2+2), one
 # row per band, a single-row image, and 1x1 kernels; both GEMM groupings
 BAND_CASES = [(3, 4, 3, 7, 5, 2), (32, 3, 3, 6, 4, 1), (7, 2, 3, 9, 3, 4),
@@ -303,7 +303,9 @@ class TestBandedForward:
         x, kernel = random_instance(rng, in_ch, out_ch, k, h, w, dtype)
         one_band = conv2d_forward(x, kernel)
         stride = w + 2 * (k // 2)
-        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * out_ch * stride * rows)
+        # a band's padded input, accumulator and product buffer
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES",
+                            8 * (in_ch + 2 * out_ch) * stride * rows)
         bands = []
         row_bands = ndtensor._row_bands
 
@@ -366,20 +368,40 @@ class TestBandedForward:
             tracemalloc.stop()
         assert peak < 54 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+    @staticmethod
+    def predict_peak(params, stack):
+        tracemalloc.start()
+        try:
+            out = predict_metalearner(params, stack)
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
     def test_predict_memory_is_banded(self):
         # one 256x256 map streamed through all five layers a row band at a
-        # time traces 38.6 MB; each layer's whole float32 output traced
-        # 115 MB, and the whole-image float64 buffers of each layer 485 MB
+        # time traces 14.1 MB; 38.6 MB while bands were sized by their
+        # output channels alone, so the 1x1 head's one band held the whole
+        # image; each layer's whole float32 output traced 115 MB, and the
+        # whole-image float64 buffers of each layer 485 MB
         params = build_metalearner(3, seed=0)
         stack = np.random.default_rng(1).random((3, 256, 256),
                                                 dtype=np.float32)
-        tracemalloc.start()
-        try:
-            predict_metalearner(params, stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 44 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        peak, _ = self.predict_peak(params, stack)
+        assert peak < 15 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_predict_memory_grows_by_the_map_alone(self, monkeypatch):
+        # bands of 2, 2, 4, 8 and 32 rows, layer by layer, at either height,
+        # so an image 8x taller adds only its output map; while the head's
+        # band was sized by its one output channel, it held all of layer
+        # 3's output and a float64 copy of it: 6 MB more here
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * 515 * 34 * 2)
+        params = build_metalearner(3, seed=0)
+        rng = np.random.default_rng(2)
+        short, _ = self.predict_peak(
+            params, rng.random((3, 128, 32), dtype=np.float32))
+        tall, map_bytes = self.predict_peak(
+            params, rng.random((3, 1024, 32), dtype=np.float32))
+        assert tall - short <= map_bytes, (short, tall)
 
     def test_predicted_map_independent_of_blas_threads(self):
         src = str(Path(ndtensor.__file__).resolve().parents[1])

@@ -102,6 +102,24 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson_ci(-1, 10)
 
+    @pytest.mark.parametrize("level", [0.95, 0.99])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_agrees_with_wald_at_its_trial_limit(self, p, level):
+        # at 1e8 trials the exact interval is the normal one to 2e-4 of its
+        # width; from about 3e8 the continued fraction stops converging,
+        # and at 1e9 with p = 0.5 the interval came out inverted
+        n = 10**8
+        cp = clopper_pearson_ci(p * n, n, level=level)
+        wd = wald_ci(p, n, level=level)
+        width = wd.upper - wd.lower
+        assert abs(cp.lower - wd.lower) < 1e-3 * width
+        assert abs(cp.upper - wd.upper) < 1e-3 * width
+
+    @pytest.mark.parametrize("n", [10**8 + 1, 10**16, 1e300])
+    def test_past_trial_limit_rejected(self, n):
+        with pytest.raises(ValueError, match=r"n must be in \[1, 100000000"):
+            clopper_pearson_ci(0.3 * n, n)
+
 
 class TestPValues:
     def test_z_of_1_96(self):
