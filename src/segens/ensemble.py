@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -34,8 +35,8 @@ from .losses import TverskyConfig, focal_tversky_loss
 from .metrics import (_at_least, check_probabilities, confusion, require_2d,
                       require_chw, scalar_metrics)
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
-from .ndtensor import (AdamState, ConvKernel, _check_channels, _correlate,
-                       _out_dtype, _param_grads, adam_step, conv2d_backward,
+from .ndtensor import (AdamState, ConvKernel, _backward, _check_channels,
+                       _correlate, _out_dtype, _param_grads, adam_step,
                        sigmoid_forward_backward)
 from .ndtensor import conv2d_forward  # noqa: F401 (perfbench wraps it here)
 
@@ -192,21 +193,38 @@ def predict_metalearner(params, stack):
 
 
 def _loss_and_grads(params, stack, soft_target, tversky):
-    """Loss plus gradients for every parameter array, back to front."""
+    """Loss plus gradients for every parameter array.
+
+    Backward runs the forward's stream in reverse: the head's upstream
+    gradient is one band, and each layer turns its upstream gradient's
+    row bands into its input gradient's, ReLU-masked per band, summing
+    its parameter gradients from the same bands on the way."""
     inputs = []
     out, deriv = _forward(params, stack, inputs)
     loss, dpred = focal_tversky_loss(soft_target, out[0], tversky)
-    grads = [None] * (2 * len(params.layers))
+    grads = [[] for _ in params.layers]
     # gradients ride in float64 end to end; only parameters and
     # activations are stored in 32-bit
-    g = dpred[None, :, :] * deriv
+    bands = [(0, out.shape[1], dpred[None, :, :] * deriv)]
+    del dpred, deriv
     for i in range(len(params.layers) - 1, 0, -1):
-        g, grads[2 * i], grads[2 * i + 1] = conv2d_backward(
-            inputs[i], params.layers[i], g)
-        g *= inputs[i] > 0  # layer i - 1's ReLU mask: its output is > 0
-    # layer 0 skips its input gradient: nothing reads the stack's
-    grads[0], grads[1] = _param_grads(inputs[0], params.layers[0], g)
-    return loss, out[0], grads
+        bands = _relu_masked(
+            _backward(bands, inputs[i], params.layers[i].weights, grads[i]),
+            inputs[i])
+    # layer 0 skips its input gradient: nothing reads the stack's; the
+    # empty deque drains the stream without holding a band
+    deque(_param_grads(bands, inputs[0], params.layers[0].weights, grads[0]),
+          maxlen=0)
+    return loss, out[0], [a for layer in grads for a in layer]
+
+
+def _relu_masked(bands, y):
+    """Gradient bands times the mask ``y > 0`` of the ReLU whose output
+    is ``y``, in place."""
+    for r0, r1, rows in bands:
+        rows *= y[:, r0:r1] > 0
+        yield r0, r1, rows
+        del rows  # not held while the next band is computed
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +325,8 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
 
     run = TrainRun(hyper=hyper, input_channels=params.in_channels)
     best_loss = math.inf
-    best_arrays = [a.copy() for a in arrays]
+    # no copies: adam_step returns new arrays and writes none in place
+    best_arrays = arrays
     stale = 0
     n = len(train)
     for epoch in range(hyper.epochs):
@@ -329,8 +348,10 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
                 sample_dices.append(_hard_dice(pred, gt))
                 for a, g in zip(acc, grads):
                     a += g
-            scale = 1.0 / len(batch)
-            arrays, state = adam_step(arrays, [a * scale for a in acc], state)
+                del grads  # not alive through the next sample's backward
+            for a in acc:
+                a *= 1.0 / len(batch)
+            arrays, state = adam_step(arrays, acc, state)
             current = MetaLearnerParams.from_arrays(arrays, seed=params.seed)
         run.train_loss.append(math.fsum(sample_losses) / n)
         run.train_dice.append(math.fsum(sample_dices) / n)
@@ -345,7 +366,7 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
             monitored = run.train_loss[-1]
         if monitored < best_loss:
             best_loss = monitored
-            best_arrays = [a.copy() for a in arrays]
+            best_arrays = arrays
             run.best_epoch = epoch
             stale = 0
         else:

@@ -97,11 +97,6 @@ def _decode_pgm(data, path=None):
     return (levels // (2 * maxval)).astype(np.uint8)[img]
 
 
-def _encode_pgm(arr):
-    h, w = arr.shape
-    return b"P5\n%d %d\n255\n" % (w, h) + arr.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # PNG (8-bit grayscale, color type 0, non-interlaced)
 
@@ -263,10 +258,15 @@ def store_gray(image, path):
         check_probabilities(arr, "image", top=255)
         if (arr % 1).any():
             raise ValueError("image values must be integers")
-    arr = arr.astype(np.uint8)
+    arr = arr.astype(np.uint8, copy=False)
     path = Path(path)
-    data = _encode_png(arr) if path.suffix.lower() == ".png" else _encode_pgm(arr)
-    path.write_bytes(data)
+    if path.suffix.lower() == ".png":
+        path.write_bytes(_encode_png(arr))
+        return
+    # the header, then the pixels from the array's own buffer: no copy
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n255\n" % arr.shape[::-1])
+        fh.write(np.ascontiguousarray(arr))
 
 
 def load_mask(path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from segens import ensemble, ndtensor
-from segens.ensemble import (HyperParams, MetaLearnerParams, binarize,
-                             build_metalearner, fuse_and, fuse_max, fuse_or,
-                             load_metalearner, predict_metalearner,
+from segens.ensemble import (_FILTERS, HyperParams, MetaLearnerParams,
+                             binarize, build_metalearner, fuse_and, fuse_max,
+                             fuse_or, load_metalearner, predict_metalearner,
                              save_metalearner, train_metalearner)
 from segens.errors import DecodeError, NumericError, ShapeMismatchError
 from segens.losses import TverskyConfig
@@ -22,6 +22,29 @@ from _oracles import loss_and_grads_local_cache
 @pytest.fixture
 def rng():
     return np.random.default_rng(70)
+
+
+@pytest.fixture(scope="module")
+def step_peak():
+    """The tracemalloc peak of one training step at size x size, taken
+    once per size."""
+    peaks = {}
+
+    def peak(size):
+        if size not in peaks:
+            params = build_metalearner(3, seed=0)
+            rng = np.random.default_rng(size)
+            stack = rng.random((3, size, size), dtype=np.float32)
+            soft = rng.random((size, size), dtype=np.float32)
+            tracemalloc.start()
+            try:
+                ensemble._loss_and_grads(params, stack, soft, TverskyConfig())
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peaks[size]
+
+    return peak
 
 
 def random_masks(rng, k=3, shape=(4, 4)):
@@ -431,35 +454,29 @@ class TestTraining:
                                                    seed=0))
         assert len(seen) == 2
 
-    def test_training_step_memory(self):
-        # one 128x128 step: the whole-image scatter buffers of the input
-        # gradient and layer 0's unused input gradient peaked near 216 MB
-        params = build_metalearner(3, seed=0)
-        rng = np.random.default_rng(1)
-        stack = rng.random((3, 128, 128), dtype=np.float32)
-        soft = rng.random((128, 128), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            ensemble._loss_and_grads(params, stack, soft, TverskyConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 180 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    def test_training_step_memory(self, step_peak):
+        # one 128x128 step streams backward in row bands: 50.0 MB, the
+        # 30.2 MB of cached layer inputs and the band buffers; whole-image
+        # float64 input gradients traced 85 MB, and before them the
+        # whole-image scatter buffers near 216 MB
+        peak = step_peak(128)
+        assert peak < 51 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
-    def test_training_step_memory_256(self):
-        # one step at the paper's 256x256 traces near 340 MB; it was
-        # 513 MB with whole-image buffers for the weight gradient
-        params = build_metalearner(3, seed=0)
-        rng = np.random.default_rng(2)
-        stack = rng.random((3, 256, 256), dtype=np.float32)
-        soft = rng.random((256, 256), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            ensemble._loss_and_grads(params, stack, soft, TverskyConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 400 * 2**20, f"peak {peak / 2**20:.0f} MB"
+    def test_training_step_memory_256(self, step_peak):
+        # one step at the paper's 256x256: 139.3 MB, of which 120.75 MB
+        # are cached layer inputs; 320 MB with whole-image float64 input
+        # gradients, 513 MB with whole-image weight-gradient buffers
+        peak = step_peak(256)
+        assert peak < 142 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_training_step_memory_grows_by_cached_inputs(self, step_peak):
+        # the band buffers do not grow with the image: from 128x128 to
+        # 256x256 the peak grows by no more than the float32 inputs that
+        # forward caches for backward (the stack and 480 channels)
+        cached = sum((3, *_FILTERS[:-1])) * 4 * (256 ** 2 - 128 ** 2)
+        assert cached == (120.75 - 30.1875) * 2**20
+        grown = step_peak(256) - step_peak(128)
+        assert grown <= cached, f"grew {grown / 2**20:.1f} MB"
 
     def test_both_empty_sample_scores_dice_one(self):
         init = build_metalearner(2, seed=0)

@@ -381,17 +381,21 @@ class TestProbMap:
         assert load_gray(path).tobytes() == want.tobytes()
 
     def test_memory_is_one_float64_copy(self, tmp_path):
-        # a 1024x1024 float32 map traces 12 MB: one 8 MB float64 copy,
-        # scaled in place, and 1 MB copies of the 8-bit image and the PGM
-        # bytes; the copy, the scaled copy and its floor traced 24 MB
+        # a 1024x1024 float32 map traces 9 MB: one 8 MB float64 copy,
+        # scaled in place, and the 8-bit image, whose buffer is written
+        # after the header; a copy of the 8-bit image and the joined PGM
+        # bytes made 12 MB, and the copy, scaled copy and floor 24 MB
         pm = np.random.default_rng(3).random((1024, 1024), dtype=np.float32)
+        path = tmp_path / "big.pgm"
         tracemalloc.start()
         try:
-            store_probmap(pm, tmp_path / "big.pgm")
+            store_probmap(pm, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak <= 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        want = np.floor(pm.astype(np.float64) * 255.0 + 0.5).astype(np.uint8)
+        assert path.read_bytes() == b"P5\n1024 1024\n255\n" + want.tobytes()
 
 
 class TestFst:

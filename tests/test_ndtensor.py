@@ -16,7 +16,7 @@ from segens.errors import NumericError, ShapeMismatchError
 from segens.ndtensor import (AdamState, ConvKernel, adam_step, conv2d_backward,
                              conv2d_forward, sigmoid_forward_backward)
 
-from _oracles import finite_diff_grad
+from _oracles import conv2d_backward_whole, finite_diff_grad
 
 
 def conv_reference(x, weights, bias, grad_out=None):
@@ -347,7 +347,9 @@ class TestBandedForward:
         for g in (g, g.astype(np.float32)):
             tracemalloc.start()
             try:
-                ndtensor._param_grads(x, kernel, g)
+                for _ in ndtensor._param_grads([(0, 256, g)], x,
+                                               kernel.weights, []):
+                    pass
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -415,6 +417,100 @@ class TestBandedForward:
                                   check=True, timeout=300)
             digests.append(done.stdout.strip())
         assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# (in_ch, out_ch, k, h, w): heights of 1, 2 and 37 rows, 3x3 and 1x1
+# kernels, one stacked GEMM and a GEMM per tap on either side of backward;
+# widths whose rows split the bias sums' 128-value leaves
+STREAM_CASES = [(3, 4, 3, 1, 7), (9, 8, 3, 2, 5), (10, 12, 3, 37, 29),
+                (40, 2, 1, 37, 13), (80, 3, 1, 2, 9)]
+STREAM_DTYPES = [pytest.param(np.float32, np.float64, id="float32"),
+                 pytest.param(np.float64, np.float64, id="float64"),
+                 pytest.param(np.float32, np.float32, id="grad_out_float32")]
+
+
+def streamed_backward(x, weights, g):
+    """ndtensor._backward fed grad_out one row at a time: the input
+    gradient put together from its bands, then the weight and bias
+    gradients."""
+    h, grads = x.shape[1], []
+    bands = ((r, r + 1, g[:, r:r + 1]) for r in range(h))
+    out = list(ndtensor._backward(bands, x, weights, grads))
+    assert [b[:2] for b in out] == [(r, r + 1) for r in range(h)]
+    return (np.concatenate([b[2] for b in out], axis=1), *grads)
+
+
+def assert_same_bytes(got, want):
+    for a, b, name in zip(got, want, ("input", "weights", "bias")):
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestStreamedBackward:
+    # every gradient, bit for bit, as the whole-array backward gave it
+
+    @pytest.mark.parametrize("dtype, g_dtype", STREAM_DTYPES)
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_one_row_bands_match_whole_arrays(self, case, dtype, g_dtype,
+                                             monkeypatch):
+        in_ch, out_ch, k, h, w = case
+        rng = np.random.default_rng(in_ch * 7 + h)
+        x, kernel = random_instance(rng, in_ch, out_ch, k, h, w, dtype)
+        g = rng.standard_normal((out_ch, h, w)).astype(g_dtype)
+        want = conv2d_backward_whole(x, kernel.weights, g)
+        assert_same_bytes(conv2d_backward(x, kernel, g), want)
+        # one-row bands throughout; the oracle's weight-gradient bands too
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 1)
+        want = conv2d_backward_whole(x, kernel.weights, g)
+        assert_same_bytes(streamed_backward(x, kernel.weights, g), want)
+
+    @pytest.mark.parametrize("g_dtype", [np.float64, np.float32])
+    def test_one_row_bands_at_256(self, g_dtype, monkeypatch):
+        # 512 leaves of pairwise bias sums per channel in float64, eight
+        # 8192-value blocks in float32
+        rng = np.random.default_rng(11)
+        x, kernel = random_instance(rng, 3, 8, 3, 256, 256)
+        g = rng.standard_normal((8, 256, 256)).astype(g_dtype)
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 1)
+        assert_same_bytes(streamed_backward(x, kernel.weights, g),
+                          conv2d_backward_whole(x, kernel.weights, g))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bias_sums_keep_at_most_one_leaf(self, dtype):
+        # numpy's pairwise order over 37-column rows fed one row at a time:
+        # only the values of the one leaf (<= 128) that a row leaves open
+        # are kept between rows
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((5, 300, 37)).astype(dtype)
+        g[1] = -0.0  # a channel whose sum is a zero
+        sums, kept = ndtensor._RowSums(300 * 37), []
+        for r in range(300):
+            sums.add(g[:, r:r + 1])
+            kept.append(0 if sums.carry is None else sums.carry.shape[1])
+        want = g.reshape(5, -1).sum(axis=1, dtype=np.float64)
+        assert sums.total.tobytes() == want.tobytes()
+        assert 0 < max(kept) < 128
+
+    def test_layer0_sums_layer1_input_gradient_stream(self, monkeypatch):
+        # training hands layer 0 the bands of layer 1's input gradient, so
+        # its bias gradient is never a sum over one whole array
+        rng = np.random.default_rng(12)
+        x0, k0 = random_instance(rng, 3, 256, 3, 37, 29)
+        x1, k1 = random_instance(rng, 256, 16, 3, 37, 29)
+        g1 = rng.standard_normal((16, 37, 29))
+        # layer 1's input gradient comes in 3-row bands, layer 0's weight
+        # gradient sums 4-row bands and layer 1's 7-row bands
+        monkeypatch.setattr(ndtensor, "_BAND_BYTES", 8 * 31 * 515 * 4)
+        grads1, grads0 = [], []
+        for _ in ndtensor._param_grads(
+                ndtensor._backward([(0, 37, g1)], x1, k1.weights, grads1),
+                x0, k0.weights, grads0):
+            pass
+        g0, *want = conv2d_backward_whole(x1, k1.weights, g1)
+        want += conv2d_backward_whole(x0, k0.weights, g0)[1:]
+        for got, ref in zip(grads1 + grads0, want):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestActivations:
