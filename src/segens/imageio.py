@@ -13,6 +13,14 @@ magic ``FST1``, one UTF-8 text line ``"C H W\\n"`` with the decimal dims,
 then C*H*W little-endian IEEE-754 float32 values in channel-major
 row-major order.
 
+PNG files are 8-bit grayscale and non-interlaced; the decoder rejects
+critical chunks other than IHDR, IDAT and IEND. None rows unfilter all
+at once and other rows one at a time, except a long run of filtered
+rows with many Average or Paeth rows: it unfilters as an anti-diagonal
+wavefront, each diagonal a few numpy calls that read a 523 KB table of
+predictions. Beyond the raster it holds only vectors of one entry per
+row.
+
 Manifests are tab-separated text, one record per line:
 ``split<TAB>image<TAB>gtmask<TAB>pred1,pred2,...<TAB>fst1,fst2,...``
 with empty fields allowed and split in {train, validation, test}.
@@ -20,6 +28,7 @@ with empty fields allowed and split in {train, validation, test}.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
@@ -100,45 +109,152 @@ def _decode_pgm(data, path=None):
 # ---------------------------------------------------------------------------
 # PNG (8-bit grayscale, color type 0, non-interlaced)
 
+def _unfilter_row(ftype, line, prev):
+    """One Average (3) or Paeth (4) scanline's bytes from its filtered
+    bytes and the row above, as a loop over the Python ints of bytes,
+    several times cheaper than numpy scalars."""
+    vals = []
+    left = upleft = 0
+    if ftype == 3:
+        for x, up in zip(line, prev):
+            left = (x + ((left + up) >> 1)) & 255
+            vals.append(left)
+        return bytes(vals)
+    for x, up in zip(line, prev):
+        p = left + up - upleft
+        pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
+        pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
+        left = (x + pred) & 255
+        vals.append(left)
+        upleft = up
+    return bytes(vals)
+
+
+# With a, b, c the left, upper and upper-left neighbours, every filter's
+# (prediction - c) mod 256 is a function of (a - c, b - c), each in
+# [-255, 255]: a - c for Sub, b - c for Up, (a - c + b - c) >> 1 for
+# Average, and one of a - c, b - c or 0 for Paeth. _pred_table() holds
+# it as a 511x511 block each for Sub and Paeth, then a ramp over
+# a - c + b - c for Average and one over b - c for Up. A row of filter
+# type f reads entry (a - c) * _MULT[f] + (b - c) + _OFFSET[f].
+_BLOCK = 511 * 511
+_MULT = np.array([0, 511, 0, 1, 511], np.intp)
+_OFFSET = np.array([0, 255 * 512, 2 * _BLOCK + 1021 + 255, 2 * _BLOCK + 510,
+                    _BLOCK + 255 * 512], np.intp)
+# A span takes the wavefront when its Average and Paeth pixels exceed
+# this many per diagonal step. One step costs about as much as 35 Paeth
+# or 70 Average pixels of _unfilter_row (measured at widths 64 to 1024),
+# so a span takes it once it is about twice as fast for Paeth rows.
+_STEP_PIXELS = 64
+
+
+@functools.cache
+def _pred_table():
+    """The (prediction - c) mod 256 table, 523 KB, built on first use 64
+    Paeth rows at a time, so that each temporary stays near 64 KB."""
+    d = np.arange(-255, 256, dtype=np.int16)
+    table = np.empty(2 * _BLOCK + 1021 + 511, np.uint8)
+    sub, paeth = table[:2 * _BLOCK].reshape(2, 511, 511)
+    sub[:] = (d & 255)[:, None]  # Sub: a - c
+    pa = np.abs(d)  # |p - a| = |b - c|, with p = a + b - c
+    for r in range(0, 511, 64):
+        u = d[r:r + 64, None]  # a - c, one row each; d = b - c
+        pb, pc = np.abs(u), np.abs(u + d)
+        paeth[r:r + 64] = np.where((pa <= pb) & (pa <= pc), u,
+                                   np.where(pb <= pc, d, 0)) & 255
+    table[2 * _BLOCK:2 * _BLOCK + 1021] = (np.arange(-510, 511) >> 1) & 255
+    table[2 * _BLOCK + 1021:] = d & 255  # Up: b - c
+    table.flags.writeable = False
+    return table
+
+
+def _wavefront_spans(ftypes, width):
+    """(start, stop) of each maximal run of rows with filters 1-4 whose
+    Average and Paeth pixels outweigh its diagonal steps."""
+    slow = np.concatenate(([0], np.cumsum(ftypes >= 3)))
+    if slow[-1] <= _STEP_PIXELS:  # no span can pass the test below
+        return []
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], ftypes != 0, [0]))))
+    return [(r0, r1) for r0, r1 in zip(edges[::2].tolist(), edges[1::2].tolist())
+            if (slow[r1] - slow[r0]) * width > _STEP_PIXELS * (r1 - r0 + width)]
+
+
+def _unfilter_wavefront(src, out, ftypes, r0, r1):
+    """Unfilter rows r0 to r1 - 1, all of filter type 1-4, from the
+    scanlines ``src`` into ``out``, whose row r0 - 1 is already decoded.
+
+    Pixel (y, x) needs only (y, x - 1), (y - 1, x) and (y - 1, x - 1), so
+    the pixels of one anti-diagonal y + x = d do not depend on each other.
+    In the flat raster a diagonal is a slice with step width - 1, and its
+    left, upper and upper-left neighbours are the same slice moved back
+    by 1, width and width + 1; in ``src`` the diagonal has step width.
+    Column 0 (a = c = 0) is decoded first, so the diagonals start at x = 1
+    and every neighbour lies within its row.
+    """
+    n, w = r1 - r0, out.shape[1]
+    flat = out.reshape(-1)
+    types = ftypes[r0:r1]
+    col, col0 = int(flat[(r0 - 1) * w]), []
+    for f, x in zip(types.tolist(), src[r0 * (w + 1) + 1:r1 * (w + 1):w + 1].tolist()):
+        col = (x + (0, 0, col, col >> 1, col)[f]) & 255  # Paeth predicts b here
+        col0.append(col)
+    flat[r0 * w:r1 * w:w] = col0
+    table = _pred_table()
+    mult, offset = _MULT[types], _OFFSET[types]
+    # g holds diagonal d - 1 from row lo - 1 down: b, then a, of each row;
+    # gp holds diagonal d - 2 from row plo - 1 down: c of each row
+    g, gp = np.empty(min(n, w) + 1, np.intp), np.empty(min(n, w) + 1, np.intp)
+    idx, val = np.empty(min(n, w), np.intp), np.empty(min(n, w), np.uint8)
+    gp[0], plo, step = flat[(r0 - 1) * w], 0, w - 1
+    for d in range(1, n + w - 1):
+        lo, hi = max(0, d - step), min(n, d)  # rows lo..hi-1 have 1 <= x < w
+        k = hi - lo
+        s = r0 * w + d + lo * step
+        e = s + k * step
+        g[:k + 1] = flat[s - w:e - 1:step]
+        c = gp[lo - plo:hi - plo]
+        i, v = idx[:k], val[:k]
+        np.subtract(g[1:k + 1], c, out=i)
+        i *= mult[lo:hi]
+        i += g[:k]
+        i -= c
+        i += offset[lo:hi]
+        table.take(i, out=v, mode="clip")
+        v += flat[s - w - 1:e - w - 1:step]
+        r = r0 * (w + 1) + 1 + d + lo * w
+        np.add(v, src[r:r + k * w:w], out=flat[s:e:step])
+        g, gp, plo = gp, g, lo
+
+
 def _unfilter_scanlines(raw, width, height, path=None):
-    # Sub and Up wrap in uint8 arrays; Average and Paeth loop over the
-    # Python ints of bytes, several times cheaper than numpy scalars.
-    out = np.empty((height, width), dtype=np.uint8)
     stride = width + 1
-    prev = bytes(width)
-    for r in range(height):
-        ftype = raw[r * stride]
-        line = raw[r * stride + 1:(r + 1) * stride]
-        if ftype == 0:
-            cur = line
-        elif ftype == 1:  # Sub: left-neighbor prediction, bpp = 1
-            cur = np.cumsum(np.frombuffer(line, np.uint8), dtype=np.uint8).tobytes()
-        elif ftype == 2:  # Up
-            cur = (np.frombuffer(line, np.uint8)
-                   + np.frombuffer(prev, np.uint8)).tobytes()
-        elif ftype == 3:  # Average
-            vals = []
-            left = 0
-            for x, up in zip(line, prev):
-                left = (x + ((left + up) >> 1)) & 255
-                vals.append(left)
-            cur = bytes(vals)
-        elif ftype == 4:  # Paeth
-            vals = []
-            left = upleft = 0
-            for x, up in zip(line, prev):
-                p = left + up - upleft
-                pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
-                pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
-                left = (x + pred) & 255
-                vals.append(left)
-                upleft = up
-            cur = bytes(vals)
-        else:
-            raise DecodeError(f"invalid PNG scanline filter {ftype} in row {r}",
-                              path=path)
-        out[r] = np.frombuffer(cur, np.uint8)
-        prev = cur
+    src = np.frombuffer(raw, np.uint8)
+    ftypes = src[::stride]
+    bad = np.flatnonzero(ftypes > 4)
+    if bad.size:
+        r = int(bad[0])
+        raise DecodeError(f"invalid PNG scanline filter {ftypes[r]} in row {r}",
+                          path=path)
+    out = np.empty((height, width), dtype=np.uint8)
+    lines = src.reshape(height, stride)[:, 1:]
+    np.copyto(out, lines, where=ftypes[:, None] == 0)  # None: no prediction
+    zero = np.zeros(width, np.uint8)  # the row above the image
+    done = 0
+    for r0, r1 in _wavefront_spans(ftypes, width) + [(height, height)]:
+        r0 = max(r0, 1)  # the wavefront starts below a decoded row
+        for r in (done + np.flatnonzero(ftypes[done:r0])).tolist():
+            ftype, above = raw[r * stride], out[r - 1] if r else zero
+            if ftype == 1:  # Sub: left-neighbor prediction, bpp = 1
+                np.cumsum(lines[r], dtype=np.uint8, out=out[r])
+            elif ftype == 2:  # Up
+                np.add(lines[r], above, out=out[r])
+            else:
+                out[r] = np.frombuffer(_unfilter_row(
+                    ftype, raw[r * stride + 1:(r + 1) * stride], above.tobytes()),
+                    np.uint8)
+        if r0 < r1:
+            _unfilter_wavefront(src, out, ftypes, r0, r1)
+        done = r1
     return out
 
 
@@ -189,6 +305,11 @@ def _decode_png(data, path=None):
             idat += payload
         elif ctype == b"IEND":
             break
+        elif not ctype[0] & 0x20:  # bit 5 clear, an uppercase first letter
+            # a critical chunk this decoder does not know, such as PLTE:
+            # the PNG specification forbids skipping it
+            raise DecodeError(f"unknown critical PNG chunk {ctype.decode('latin-1')!r}",
+                              offset=pos, path=path)
         pos = dend + 4
     if width is None:
         raise DecodeError("PNG missing IHDR", offset=8, path=path)
@@ -228,7 +349,7 @@ def _png_chunk(ctype, payload):
 def _encode_png(arr):
     h, w = arr.shape
     header = struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0)
-    raw = b"".join(b"\x00" + row.tobytes() for row in arr)
+    raw = np.pad(arr, ((0, 0), (1, 0)))  # filter type 0 before each row
     return (_PNG_SIG
             + _png_chunk(b"IHDR", header)
             + _png_chunk(b"IDAT", zlib.compress(raw))

@@ -126,3 +126,55 @@ def conv2d_backward_whole(x, weights, grad_out):
     grad_w = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2).astype(dt)
     grad_b = g.reshape(out_ch, -1).sum(axis=1, dtype=np.float64).astype(dt)
     return grad_in, grad_w, grad_b
+
+
+def filter_scanline(ftype, line, prev):
+    """Forward-filter one PNG row of bytes, given the row above, by the
+    specification's definition of filter type ``ftype``."""
+    out = bytearray()
+    left = upleft = 0
+    for i, cur in enumerate(line):
+        up = prev[i]
+        if ftype == 0:
+            out.append(cur)
+        elif ftype == 1:
+            out.append((cur - left) % 256)
+        elif ftype == 2:
+            out.append((cur - up) % 256)
+        elif ftype == 3:
+            out.append((cur - (left + up) // 2) % 256)
+        else:
+            p = left + up - upleft
+            pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
+            pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
+            out.append((cur - pred) % 256)
+        left = cur
+        upleft = up
+    return bytes(out)
+
+
+def unfilter_reference(raw, width, height):
+    """Per-pixel PNG unfiltering, written from the specification.
+
+    Returns the raster and how many pixels wrapped past 255 (raw byte +
+    predictor >= 256) and landed exactly on 0 (== 256).
+    """
+    rows = [[0] * width]  # the zero row above the image
+    wrapped = on_zero = 0
+    for r in range(height):
+        ftype = raw[r * (width + 1)]
+        above, row = rows[-1], []
+        for c in range(width):
+            x = raw[r * (width + 1) + 1 + c]
+            a = row[c - 1] if c else 0
+            b = above[c]
+            ul = above[c - 1] if c else 0
+            p = a + b - ul
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - ul)
+            paeth = a if pa <= pb and pa <= pc else (b if pb <= pc else ul)
+            total = x + (0, a, b, (a + b) // 2, paeth)[ftype]
+            row.append(total % 256)
+            wrapped += total >= 256
+            on_zero += total == 256
+        rows.append(row)
+    return np.array(rows[1:], np.uint8).reshape(height, width), wrapped, on_zero

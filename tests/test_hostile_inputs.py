@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import filter_scanline
 from segens import ensemble, imageio
 from segens.cli import main
 from segens.errors import DecodeError
@@ -128,6 +129,60 @@ def test_png_without_idat_names_the_missing_chunk(tmp_path):
     assert e.value.offset == 8 + 12 + len(header)  # the IEND chunk
     assert main(["bu-preview", "--mask", str(path),
                  "--out", str(tmp_path / "soft.pgm")]) == 2
+
+
+@pytest.mark.parametrize("height, width", [(4000, 128), (1, 65536)])
+def test_paeth_raster_decodes_in_bounded_memory(tmp_path, height, width):
+    # 4000 rows are one span for the wavefront; one 65536-pixel row takes
+    # the row loop. Beyond the file, its IDAT copy, the inflated scanlines
+    # and the raster, decoding may hold 1 MB: buffers that grew with
+    # rows x (rows + width) would need 32 MB for the first image.
+    img = np.random.default_rng(SEED).integers(0, 256, (height, width),
+                                               dtype=np.uint8)
+    raw, prev = bytearray(), bytes(width)
+    for row in img:
+        raw += b"\x04" + filter_scanline(4, row.tobytes(), prev)
+        prev = row.tobytes()
+    header = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+    idat = zlib.compress(raw)
+    path = tmp_path / "paeth.png"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n" + imageio._png_chunk(b"IHDR", header)
+                     + imageio._png_chunk(b"IDAT", idat)
+                     + imageio._png_chunk(b"IEND", b""))
+    imageio._pred_table()  # built once per process, on first use
+    tracemalloc.start()
+    try:
+        got = imageio.load_gray(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, img)
+    held = path.stat().st_size + len(idat) + len(raw) + img.nbytes
+    assert peak < held + (1 << 20), f"peak {peak / 2**20:.2f} MB"
+
+
+@pytest.mark.parametrize("ctype", [b"PLTE", b"ABCD"])
+def test_unknown_critical_png_chunk_rejected(tmp_path, ctype):
+    # a decoder must not skip a critical chunk (uppercase first letter) it
+    # does not know; PLTE is one for a grayscale image
+    header = struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)
+    chunks = [(b"IHDR", header), (b"tEXt", b"k\x00v"), (ctype, bytes(3)),
+              (b"IDAT", zlib.compress(bytes(6))), (b"IEND", b"")]
+    data = b"\x89PNG\r\n\x1a\n"
+    for name, payload in chunks:
+        if name == ctype:
+            at = len(data)
+        data += imageio._png_chunk(name, payload)
+    path = tmp_path / "critical.png"
+    path.write_bytes(data)
+    with pytest.raises(DecodeError, match=f"unknown critical PNG chunk '{ctype.decode()}'") as e:
+        imageio.load_gray(path)
+    assert e.value.offset == at
+    assert main(["bu-preview", "--mask", str(path),
+                 "--out", str(tmp_path / "soft.pgm")]) == 2
+    # the ancillary tEXt chunk alone is skipped
+    path.write_bytes(data.replace(imageio._png_chunk(ctype, bytes(3)), b""))
+    assert np.array_equal(imageio.load_gray(path), np.zeros((2, 2), np.uint8))
 
 
 # command -> (manifest lines, the first input path it reads, extra argv)

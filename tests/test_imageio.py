@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from _oracles import filter_scanline, unfilter_reference
 from segens import imageio
 from segens.errors import DecodeError, NumericError
 from segens.imageio import (ManifestRecord, load_feature_stack, load_gray,
@@ -112,30 +113,6 @@ class TestStoreGray:
         assert (tmp_path / "g.pgm").read_bytes() == (tmp_path / "u8.pgm").read_bytes()
 
 
-def _filter_scanline(ftype, line, prev):
-    """Forward-filter one row so the decoder's unfiltering can be exercised."""
-    out = bytearray()
-    left = upleft = 0
-    for i, cur in enumerate(line):
-        up = prev[i]
-        if ftype == 0:
-            out.append(cur)
-        elif ftype == 1:
-            out.append((cur - left) % 256)
-        elif ftype == 2:
-            out.append((cur - up) % 256)
-        elif ftype == 3:
-            out.append((cur - (left + up) // 2) % 256)
-        else:
-            p = left + up - upleft
-            pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
-            pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
-            out.append((cur - pred) % 256)
-        left = cur
-        upleft = up
-    return bytes(out)
-
-
 def _png_chunk(ctype, payload):
     crc = zlib.crc32(ctype + payload) & 0xFFFFFFFF
     return struct.pack(">I", len(payload)) + ctype + payload + struct.pack(">I", crc)
@@ -147,37 +124,12 @@ def _build_png(img, filters):
     prev = bytes(w)
     for r in range(h):
         f = filters[r % len(filters)]
-        raw += bytes([f]) + _filter_scanline(f, bytes(img[r]), prev)
+        raw += bytes([f]) + filter_scanline(f, bytes(img[r]), prev)
         prev = bytes(img[r])
     return (b"\x89PNG\r\n\x1a\n"
             + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
             + _png_chunk(b"IDAT", zlib.compress(raw))
             + _png_chunk(b"IEND", b""))
-
-
-def _unfilter_reference(raw, width, height):
-    """Per-pixel PNG unfiltering, written from the specification.
-
-    Returns the raster and how many pixels wrapped past 255 (raw byte +
-    predictor >= 256) and landed exactly on 0 (== 256).
-    """
-    out = np.zeros((height, width), np.int64)
-    wrapped = on_zero = 0
-    for r in range(height):
-        ftype = raw[r * (width + 1)]
-        for c in range(width):
-            x = raw[r * (width + 1) + 1 + c]
-            a = int(out[r, c - 1]) if c else 0
-            b = int(out[r - 1, c]) if r else 0
-            ul = int(out[r - 1, c - 1]) if r and c else 0
-            p = a + b - ul
-            pa, pb, pc = abs(p - a), abs(p - b), abs(p - ul)
-            paeth = a if pa <= pb and pa <= pc else (b if pb <= pc else ul)
-            total = x + (0, a, b, (a + b) // 2, paeth)[ftype]
-            out[r, c] = total % 256
-            wrapped += total >= 256
-            on_zero += total == 256
-    return out.astype(np.uint8), wrapped, on_zero
 
 
 class TestUnfilter:
@@ -193,12 +145,47 @@ class TestUnfilter:
                           rng.integers(0, 256, (height, width), dtype=np.uint8))
         ftypes = np.resize(np.asarray(filters, np.uint8), height)
         raw = np.column_stack([ftypes, pixels]).astype(np.uint8).tobytes()
-        want, wrapped, on_zero = _unfilter_reference(raw, width, height)
+        want, wrapped, on_zero = unfilter_reference(raw, width, height)
         got = imageio._unfilter_scanlines(raw, width, height)
         assert got.dtype == np.uint8 and np.array_equal(got, want)
         assert {0, 255} <= set(pixels.ravel().tolist())
         if set(ftypes.tolist()) != {0}:
             assert wrapped > 0 and on_zero > 0
+
+    # Filter layouts big enough for the anti-diagonal wavefront: each maps
+    # an rng to (filter type per row, width, the spans that must take it).
+    LAYOUTS = {
+        "paeth": lambda rng: ([4] * 256, 256, [(0, 256)]),
+        "average": lambda rng: ([3] * 256, 256, [(0, 256)]),
+        # random 1-4 rows, cut by None rows; the 9-row tail stays on rows
+        "cut spans": lambda rng: (
+            np.where(np.isin(np.arange(300), [0, 140, 141, 290]), 0,
+                     rng.choice([1, 2, 3, 4], 300, p=[.1, .1, .3, .5])),
+            256, [(1, 140), (142, 290)]),
+        # a long span beside 1-row Paeth and Average spans
+        "long and short": lambda rng: (
+            [4] * 150 + [0, 4, 0, 3, 0, 4, 1, 0], 200, [(0, 150)]),
+        # like libpng's adaptive filter on a photograph: None rows, a Sub
+        # row, then Paeth with Up and Average rows inside the span
+        "photo": lambda rng: (
+            [0, 0, 1] + rng.choice([2, 3, 4], 253, p=[.02, .04, .94]).tolist(),
+            256, [(2, 256)]),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_wavefront_matches_per_pixel_reference(self, rng, layout):
+        ftypes, width, spans = self.LAYOUTS[layout](rng)
+        ftypes = np.asarray(ftypes, np.uint8)
+        assert imageio._wavefront_spans(ftypes, width) == spans
+        height = len(ftypes)
+        edges = rng.choice(np.array([0, 1, 254, 255], np.uint8), (height, width))
+        pixels = np.where(rng.random((height, width)) < 0.5, edges,
+                          rng.integers(0, 256, (height, width), dtype=np.uint8))
+        raw = np.column_stack([ftypes, pixels]).tobytes()
+        want, wrapped, on_zero = unfilter_reference(raw, width, height)
+        got = imageio._unfilter_scanlines(raw, width, height)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert wrapped > 0 and on_zero > 0
 
     def test_invalid_filter_byte_names_row(self):
         raw = bytes([0]) + bytes(64) + bytes([5]) + bytes(64)
@@ -328,6 +315,19 @@ class TestPng:
                          + _png_chunk(b"IDAT", idat[half:])
                          + _png_chunk(b"IEND", b""))
         with pytest.raises(DecodeError, match=message) as e:
+            load_gray(path)
+        assert e.value.offset == self.IDAT_AT
+
+    def test_invalid_filter_after_long_span_reports_idat_offset(self, tmp_path,
+                                                                 rng):
+        # rows 0-199 are a span the wavefront decodes; row 200 is bad
+        raw = np.column_stack([[4] * 200 + [7, 4],
+                               rng.integers(0, 256, (202, 256))]).astype(np.uint8)
+        assert imageio._wavefront_spans(raw[:200, 0], 256) == [(0, 200)]
+        path = self._gray_png(tmp_path / "bad.png", 256, 202,
+                              zlib.compress(raw.tobytes()))
+        with pytest.raises(DecodeError,
+                           match="invalid PNG scanline filter 7 in row 200") as e:
             load_gray(path)
         assert e.value.offset == self.IDAT_AT
 
