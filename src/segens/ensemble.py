@@ -439,8 +439,8 @@ def load_metalearner(path):
             "out_channels", "in_channels", "kernel_h", "kernel_w")]
         files = [spec.get("weights_file"), spec.get("bias_file")]
         if not (all(type(d) is int and d > 0 for d in dims) and all(
-                isinstance(f, str) and (root / f).resolve().is_relative_to(root)
-                for f in files)):
+                isinstance(f, str) and "\0" not in f
+                and (root / f).resolve().is_relative_to(root) for f in files)):
             raise DecodeError(f"layer {i} needs four integer dims > 0 and two "
                               "tensor files inside the model's directory",
                               path=path)

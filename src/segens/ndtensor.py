@@ -25,15 +25,16 @@ Backward is the same stream run in reverse (_backward): grad_out arrives
 in row bands, and the generator turns them into the input gradient's
 bands by correlating them with the kernel turned 180 degrees, channels
 swapped (arXiv:1603.07285). On the way, _param_grads sums the weight
-gradient ``grad_out_band @ view.T`` over the bands of the layer's input
-and the bias gradient in numpy's own summation order (_RowSums), so every
-gradient is bit-identical to one taken from whole arrays, and a grad_out
-band is held only until both have passed it. Chained layer by layer, a
-training step holds no whole-image float64 gradient: at 64x64, 128x128
-and 256x256 it traces 22.2, 50.0 and 139.3 MB, of which 7.5, 30.2 and
-120.75 MB are the layer inputs that forward caches (26.2, 85.3 and 320.2
-MB with whole-image input gradients). conv2d_backward runs the stream's
-two consumers on a whole grad_out.
+gradient ``grad_out_band @ view.T`` over the bands of the layer's input,
+and the bias gradient as each image row's float64 sum and then the sum
+of those row sums. Neither order depends on how grad_out is banded, so
+every gradient is bit-identical to one taken from whole arrays in the
+same order, and a grad_out band is held only until both have passed it.
+Chained layer by layer, a training step holds no whole-image float64
+gradient: at 64x64, 128x128 and 256x256 it traces 22.2, 50.4 and 139.8
+MB, of which 7.5, 30.2 and 120.75 MB are the layer inputs that forward
+caches (26.2, 85.3 and 320.2 MB with whole-image input gradients).
+conv2d_backward runs the stream's two consumers on a whole grad_out.
 
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
@@ -297,22 +298,27 @@ def _param_grads(bands, x, weights, grads):
 
     The weight gradient sums ``grad_out_band @ view.T`` over _row_bands'
     bands of ``x``, each built once grad_out has arrived past its last
-    row, so its sums do not depend on how grad_out arrives.
+    row, so its sums do not depend on how grad_out arrives. The bias
+    gradient sums each row of a band in float64 as the band arrives, and
+    adds the (out_ch, h) row sums per channel once all are in; no band
+    is copied to float64 whole.
     """
     out_ch, in_ch, kh, kw = weights.shape
     _, h, w = x.shape
     pw = kw // 2
     stride = w + 2 * pw
     gw = np.zeros((out_ch, kh * kw * in_ch))
-    bias = _RowSums(h * w)
+    row_sums = np.empty((out_ch, h))
     bands, held, end = iter(bands), [], 0
     xbands = _row_bands([(0, h, x)], h, kh, kw, out_ch)
     # xbands' edges, known before it builds a band
     for _, r1 in _band_edges(h, stride, in_ch + 2 * out_ch):
         while end < r1:
             held.append(next(bands))
-            end = held[-1][1]
-            bias.add(held[-1][2])
+            g0, end, rows = held[-1]
+            row_sums[:, g0:end] = rows.sum(axis=2, dtype=np.float64)
+            dt = _out_dtype(x, weights, rows)  # that of the gradients
+            del rows  # held alone keeps it, until _take_band drops it
             yield held[-1]
         r0, r1, flat, offsets = next(xbands)
         n = (r1 - r0) * stride
@@ -324,95 +330,11 @@ def _param_grads(bands, x, weights, grads):
         del flat, cols, gpad
     next(bands, None)  # ends the stream, freeing what it holds
     grad_weights = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2)
-    dt = _out_dtype(x, weights, np.empty(0, bias.dtype))  # that of grad_out
-    grad_weights, grad_bias = grad_weights.astype(dt), bias.total.astype(dt)
+    grad_weights = grad_weights.astype(dt)
+    grad_bias = row_sums.sum(axis=1).astype(dt)
     if not (np.isfinite(grad_weights).all() and np.isfinite(grad_bias).all()):
         raise NumericError("convolution gradient has non-finite values")
     grads += grad_weights, grad_bias
-
-
-class _RowSums:
-    """``a.reshape(C, -1).sum(axis=1, dtype=np.float64)`` of a (C, H, W)
-    array ``a`` that arrives as row bands in order, bit for bit.
-
-    numpy adds to 0, in turn, the pairwise sum of each block of a row:
-    the whole row if ``a`` is float64, else np.getbufsize() values, its
-    casting buffer. The pairwise sum of more than 128 values adds those
-    of two halves split at a multiple of 8 (_mid), so numpy's sum over a
-    node of that tree is the node's own, up to the sign of a zero that
-    the final adding to 0 erases. Each band is cut into the largest
-    nodes that it holds whole, for numpy to sum; a leaf that the next
-    band completes is kept until then; and two halves' sums are added as
-    soon as both are in.
-    """
-
-    def __init__(self, n):
-        self.n, self.seen, self.carry, self.stack = n, 0, None, []
-
-    def add(self, rows):
-        a = rows.reshape(len(rows), -1)
-        if not self.seen:
-            self.dtype = rows.dtype
-            block = self.n if rows.dtype == np.float64 else np.getbufsize()
-            self.roots = [(s, min(s + block, self.n))
-                          for s in range(0, self.n, block)]
-            self.nodes = set(chain.from_iterable(
-                _pairwise_nodes(*root) for root in self.roots))
-            self.total = 0.0
-        lo, self.seen = self.seen, self.seen + a.shape[1]
-        if self.carry is not None:  # the leaf that the last band began
-            start = lo - self.carry.shape[1]
-            stop = next(_cover(self.roots, start, start + 128))[1]
-            self.carry = np.concatenate([self.carry, a[:, :stop - lo]], 1)
-            if stop > self.seen:
-                return
-            self._push(start, stop, self.carry)
-            self.carry, a, lo = None, a[:, stop - lo:], stop
-        done = lo
-        for start, done in _cover(self.roots, lo, self.seen):
-            self._push(start, done, a[:, start - lo:done - lo])
-        if done < self.seen:
-            self.carry = a[:, done - lo:].copy()
-
-    def _push(self, start, stop, values):
-        """Take the node start..stop-1, adding its sum to its left half's
-        and on up the tree for as long as both halves are in."""
-        total = values.astype(np.float64, copy=False).sum(axis=1)
-        while self.stack and (self.stack[-1][0], stop) in self.nodes:
-            start, _, left = self.stack.pop()
-            total = left + total
-        if (start, stop) in self.roots:
-            self.total = self.total + total
-        else:
-            self.stack.append((start, stop, total))
-
-
-def _mid(a, b):
-    """Where numpy's pairwise summation of values a..b-1 splits them:
-    half-way, rounded down to a multiple of 8 past ``a``."""
-    half = (b - a) // 2
-    return a + half - half % 8
-
-
-def _pairwise_nodes(a, b):
-    """The (start, stop) of every node of numpy's pairwise summation of
-    values a..b-1: leaves hold at most 128 values."""
-    yield a, b
-    if b - a > 128:
-        yield from _pairwise_nodes(a, _mid(a, b))
-        yield from _pairwise_nodes(_mid(a, b), b)
-
-
-def _cover(roots, lo, hi):
-    """The largest nodes of the pairwise trees over ``roots`` that lie in
-    values lo..hi-1, in order."""
-    todo = roots[::-1]
-    while todo:
-        a, b = todo.pop()
-        if lo <= a and b <= hi:
-            yield a, b
-        elif a < hi and lo < b and b - a > 128:
-            todo += [(_mid(a, b), b), (a, _mid(a, b))]
 
 
 def sigmoid_forward_backward(x):

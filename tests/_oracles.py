@@ -71,8 +71,8 @@ def conv2d_backward_whole(x, weights, grad_out):
     those of ``ndtensor._band_edges`` for a product's input channels plus
     twice its output's, so a patched band budget moves them too; they
     matter, because BLAS can round a GEMM's sums differently at another
-    width. The bias gradient is numpy's sum of the whole ``grad_out`` per
-    channel.
+    width. The bias gradient sums each row of ``grad_out`` in float64, then
+    each channel's row sums.
     """
     from segens import ndtensor
 
@@ -124,7 +124,7 @@ def conv2d_backward_whole(x, weights, grad_out):
         for cols_at, cols in groups(padded(x, r0, r1), n):
             gw[:, cols_at] += gpad @ cols.T
     grad_w = gw.reshape(out_ch, kh, kw, in_ch).transpose(0, 3, 1, 2).astype(dt)
-    grad_b = g.reshape(out_ch, -1).sum(axis=1, dtype=np.float64).astype(dt)
+    grad_b = g.sum(axis=2, dtype=np.float64).sum(axis=1).astype(dt)
     return grad_in, grad_w, grad_b
 
 

@@ -323,12 +323,14 @@ class TestModelHeader:
         (("layers", 1, "bias_file"), "params.json.layer0.bias.fst"),
         (("layers", 0, "weights_file"), 7),
         (("layers", 0, "weights_file"), "../outside.fst"),
+        (("layers", 0, "weights_file"), "params.json.layer0.weights.fst\0"),
+        (("layers", 3, "bias_file"), "\0params.json.layer3.bias.fst"),
         (("seed",), "x"),
         (("seed",), 1.5),
     ], ids=["list", "no-layers", "layers-not-list", "layer-not-object",
             "missing-key", "layer-count", "zero-dim", "string-dim", "bool-dim",
             "in-channels", "bias-shape", "file-not-string", "escape",
-            "string-seed", "float-seed"])
+            "nul-weights-file", "nul-bias-file", "string-seed", "float-seed"])
     def test_malformed_header_exits_two(self, tmp_path, rng, keys, value):
         mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
         model = tmp_path / "model" / "params.json"

@@ -455,7 +455,7 @@ class TestTraining:
         assert len(seen) == 2
 
     def test_training_step_memory(self, step_peak):
-        # one 128x128 step streams backward in row bands: 50.0 MB, the
+        # one 128x128 step streams backward in row bands: 50.4 MB, the
         # 30.2 MB of cached layer inputs and the band buffers; whole-image
         # float64 input gradients traced 85 MB, and before them the
         # whole-image scatter buffers near 216 MB
@@ -463,7 +463,7 @@ class TestTraining:
         assert peak < 51 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_training_step_memory_256(self, step_peak):
-        # one step at the paper's 256x256: 139.3 MB, of which 120.75 MB
+        # one step at the paper's 256x256: 139.8 MB, of which 120.75 MB
         # are cached layer inputs; 320 MB with whole-image float64 input
         # gradients, 513 MB with whole-image weight-gradient buffers
         peak = step_peak(256)

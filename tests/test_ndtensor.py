@@ -420,8 +420,7 @@ class TestBandedForward:
 
 
 # (in_ch, out_ch, k, h, w): heights of 1, 2 and 37 rows, 3x3 and 1x1
-# kernels, one stacked GEMM and a GEMM per tap on either side of backward;
-# widths whose rows split the bias sums' 128-value leaves
+# kernels, one stacked GEMM and a GEMM per tap on either side of backward
 STREAM_CASES = [(3, 4, 3, 1, 7), (9, 8, 3, 2, 5), (10, 12, 3, 37, 29),
                 (40, 2, 1, 37, 13), (80, 3, 1, 2, 9)]
 STREAM_DTYPES = [pytest.param(np.float32, np.float64, id="float32"),
@@ -466,8 +465,8 @@ class TestStreamedBackward:
 
     @pytest.mark.parametrize("g_dtype", [np.float64, np.float32])
     def test_one_row_bands_at_256(self, g_dtype, monkeypatch):
-        # 512 leaves of pairwise bias sums per channel in float64, eight
-        # 8192-value blocks in float32
+        # 256 one-row grad_out bands, each filling one row sum per channel
+        # of the bias gradient, and 256 one-row weight-gradient GEMMs
         rng = np.random.default_rng(11)
         x, kernel = random_instance(rng, 3, 8, 3, 256, 256)
         g = rng.standard_normal((8, 256, 256)).astype(g_dtype)
@@ -475,21 +474,19 @@ class TestStreamedBackward:
         assert_same_bytes(streamed_backward(x, kernel.weights, g),
                           conv2d_backward_whole(x, kernel.weights, g))
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bias_sums_keep_at_most_one_leaf(self, dtype):
-        # numpy's pairwise order over 37-column rows fed one row at a time:
-        # only the values of the one leaf (<= 128) that a row leaves open
-        # are kept between rows
-        rng = np.random.default_rng(13)
-        g = rng.standard_normal((5, 300, 37)).astype(dtype)
-        g[1] = -0.0  # a channel whose sum is a zero
-        sums, kept = ndtensor._RowSums(300 * 37), []
-        for r in range(300):
-            sums.add(g[:, r:r + 1])
-            kept.append(0 if sums.carry is None else sums.carry.shape[1])
-        want = g.reshape(5, -1).sum(axis=1, dtype=np.float64)
-        assert sums.total.tobytes() == want.tobytes()
-        assert 0 < max(kept) < 128
+    @pytest.mark.parametrize("g_dtype", [np.float64, np.float32])
+    def test_bias_gradient_is_accurate_at_256(self, g_dtype):
+        # the bias gradient adds row sums, not one sum over the channel;
+        # it stays within a few ulps of the channel's sum of |values|
+        rng = np.random.default_rng(14)
+        x, kernel = random_instance(rng, 3, 8, 3, 256, 256, np.float64)
+        g = rng.standard_normal((8, 256, 256)).astype(g_dtype)
+        gb = conv2d_backward(x, kernel, g)[2]
+        flat = g.reshape(8, -1)
+        want = flat.sum(axis=1, dtype=np.float64)
+        ulp = np.spacing(np.abs(flat).sum(axis=1, dtype=np.float64))
+        assert gb.dtype == np.float64
+        assert (np.abs(gb - want) <= 4 * ulp).all(), (gb - want) / ulp
 
     def test_layer0_sums_layer1_input_gradient_stream(self, monkeypatch):
         # training hands layer 0 the bands of layer 1's input gradient, so
