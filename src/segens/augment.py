@@ -65,13 +65,13 @@ def mirror(image, mask):
 
 
 def _resample_pair(image, mask, inv):
-    """Apply the inverse-map affine ``inv`` (2x2, row/col) about the center."""
+    """Apply the inverse map ``inv`` about the center: it takes the output
+    pixel centers' offsets, a column and a row vector, to source offsets."""
     h, w = image.shape
     cy, cx = h / 2.0, w / 2.0
-    dy = (np.arange(h) + 0.5 - cy)[:, None]
-    dx = (np.arange(w) + 0.5 - cx)[None, :]
-    sy = inv[0][0] * dy + inv[0][1] * dx + cy
-    sx = inv[1][0] * dy + inv[1][1] * dx + cx
+    sy, sx = inv((np.arange(h) + 0.5 - cy)[:, None],
+                 (np.arange(w) + 0.5 - cx)[None, :])
+    sy, sx = sy + cy, sx + cx
     return (sample(image, sy, sx, "bilinear", "zero"),
             sample(mask, sy, sx, "nearest", "zero"))
 
@@ -80,17 +80,17 @@ def rotate(image, mask, angle_degrees):
     """Rotate both arrays about the image center by the same angle."""
     img, msk = _check_pair(image, mask)
     a = math.radians(check_range(angle_degrees, "angle_degrees"))
-    inv = ((math.cos(a), -math.sin(a)), (math.sin(a), math.cos(a)))
-    return _resample_pair(img, msk, inv)
+    c, s = math.cos(a), math.sin(a)
+    return _resample_pair(img, msk, lambda y, x: (c * y - s * x, s * y + c * x))
 
 
 def zoom(image, mask, factor):
     """Scale about the center: factor > 1 magnifies (crops), factor < 1
     shrinks the content into the middle and zero-pads the border."""
     img, msk = _check_pair(image, mask)
-    check_range(factor, "factor", 0, lo_open=True)
-    inv = ((1.0 / factor, 0.0), (0.0, 1.0 / factor))
-    return _resample_pair(img, msk, inv)
+    inv = 1.0 / check_range(factor, "factor", 0, lo_open=True)
+    check_range(inv, "1/factor")  # inf for a factor below about 5.6e-309
+    return _resample_pair(img, msk, lambda y, x: (inv * y, inv * x))
 
 
 def sample_transform(config, index, source_count):

@@ -468,24 +468,21 @@ def load_feature_stack(path):
 _CHUNK_PIXELS = 8192
 
 
-def _padded(i, n):
-    """Index ``i`` on an n-long axis padded by one pixel: past an edge is its pad."""
-    return np.clip(i, -1, n) + 1
-
-
 def sample(arr, sy, sx, mode, border):
     """Read the 2-D array ``arr`` at source coordinates (``sy``, ``sx``).
 
     Coordinates use half-pixel centers: pixel (i, j) covers
     [i, i + 1) x [j, j + 1) and its center is (i + 0.5, j + 0.5). ``sy``
-    and ``sx`` are full grids or broadcastable row/column vectors.
-    ``mode`` "nearest" returns the covering pixel in ``arr``'s dtype;
-    "bilinear" blends the four nearest centers, rounding half up for
-    uint8 and returning float32 otherwise. ``border`` says what lies
-    outside the array: "clamp" repeats the edge pixels, "zero" is 0.
+    and ``sx`` are full grids or broadcastable row/column vectors, read as
+    float64; NaN or infinity raises ValueError. ``mode`` "nearest" returns
+    the covering pixel in ``arr``'s dtype; "bilinear" blends the four
+    nearest centers, rounding half up for uint8 and returning float32
+    otherwise. ``border`` says what lies outside the array: "clamp"
+    repeats the edge pixels, "zero" is 0.
 
     The output is filled _CHUNK_PIXELS at a time, one flat gather per
-    neighbour from ``arr`` padded by one border pixel.
+    neighbour from ``arr`` (float64 for "bilinear") padded by two border
+    pixels, so both neighbours of an index clipped into the pad lie in it.
     """
     if border not in ("clamp", "zero"):
         raise ValueError(f"unknown border rule {border!r}")
@@ -493,30 +490,33 @@ def sample(arr, sy, sx, mode, border):
         raise ValueError(f"unknown resampling mode {mode!r}")
     h, w = arr.shape
     shape = np.broadcast_shapes(np.shape(sy), np.shape(sx))
-    sy, sx = np.atleast_1d(sy, sx)
+    sy, sx = np.atleast_1d(np.asarray(sy, np.float64), np.asarray(sx, np.float64))
+    if not (np.isfinite(sy).all() and np.isfinite(sx).all()):
+        raise ValueError("sample coordinates must be finite")
     out = np.empty(np.broadcast_shapes(sy.shape, sx.shape),
                    arr.dtype if mode == "nearest" or arr.dtype == np.uint8
                    else np.float32)
-    flat = np.pad(arr if mode == "nearest" else arr.astype(np.float64), 1,
+    flat = np.pad(arr if mode == "nearest" else arr.astype(np.float64), 2,
                   "edge" if border == "clamp" else "constant").ravel()
     rows = max(1, _CHUNK_PIXELS // max(1, math.prod(out.shape[1:])))
     for r in range(0, len(out), rows):
         # a coordinate array spans the chunk's rows unless broadcast along them
         y, x = (a[r:r + rows] if a.ndim == out.ndim and len(a) > 1 else a
                 for a in (sy, sx))
+        u, v = (y, x) if mode == "nearest" else (y - 0.5, x - 0.5)
+        fu, fv = np.floor(u), np.floor(v)
+        # clipped in float, so a floor of any size past an edge reads its pad
+        i, j = ((np.clip(f, -2, n) + 2).astype(np.int64)
+                for f, n in ((fu, h), (fv, w)))
+        base = i * (w + 4) + j
         if mode == "nearest":
-            i, j = np.floor(y).astype(np.int64), np.floor(x).astype(np.int64)
-            out[r:r + rows] = flat.take(_padded(i, h) * (w + 2) + _padded(j, w))
+            out[r:r + rows] = flat.take(base)
             continue
-        u, v = y - 0.5, x - 0.5
-        i0, j0 = np.floor(u).astype(np.int64), np.floor(v).astype(np.int64)
-        fy, fx = u - i0, v - j0
-        ii = [_padded(i0 + d, h) * (w + 2) for d in (0, 1)]
-        jj = [_padded(j0 + d, w) for d in (0, 1)]
+        fy, fx = u - fu, v - fv
         acc = np.zeros(out[r:r + rows].shape)
-        for di, wy in ((0, 1.0 - fy), (1, fy)):
+        for di, wy in ((0, 1.0 - fy), (w + 4, fy)):
             for dj, wx in ((0, 1.0 - fx), (1, fx)):
-                acc += wy * wx * flat.take(ii[di] + jj[dj])
+                acc += wy * wx * flat.take(base + (di + dj))
         # the assignment casts as .astype does
         out[r:r + rows] = (np.clip(np.floor(acc + 0.5), 0, 255)
                            if out.dtype == np.uint8 else acc)

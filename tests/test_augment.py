@@ -131,6 +131,37 @@ class TestZoom:
         with pytest.raises(ValueError):
             zoom(*pair, 0.0)
 
+    def test_factor_with_overflowing_inverse_rejected(self, pair):
+        # 1 / 1e-320 is inf, which made every coordinate infinite
+        with pytest.raises(ValueError, match="1/factor"):
+            zoom(*pair, 1e-320)
+
+    def test_samples_through_a_column_and_a_row_vector(self, monkeypatch):
+        shapes = []
+
+        def spy(arr, sy, sx, mode, border):
+            shapes.append((np.shape(sy), np.shape(sx)))
+            return imageio.sample(arr, sy, sx, mode, border)
+
+        monkeypatch.setattr(augment, "sample", spy)
+        img = np.zeros((5, 7), np.uint8)
+        zoom(img, img, 1.3)
+        assert shapes == [((5, 1), (1, 7))] * 2
+
+    def test_memory_below_rotation(self):
+        # 256x256: zoom peaks at 1.1 MB, rotate at 2.5 MB, and at 2.6 MB
+        # each while zoom built full coordinate grids
+        rng = np.random.default_rng(64)
+        img = rng.integers(0, 256, (256, 256), dtype=np.uint8)
+        mask = (rng.random((256, 256)) > 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            zoom(img, mask, 1.17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_mask_stays_binary(self, pair):
         img, mask = pair
         for f in (0.8, 1.15, 1.4):

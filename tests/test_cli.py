@@ -290,6 +290,13 @@ class TestAugmentCommand:
         records = imageio.read_manifest(out)
         assert sum(r.split == "train" for r in records) == 2 + 12
 
+    def test_zoom_factor_with_overflowing_inverse_exits_one(self, tmp_path, rng):
+        mpath = self._manifest(tmp_path, rng)
+        assert main(["augment", "--manifest", str(mpath),
+                     "--outdir", str(tmp_path / "aug"),
+                     "--out-manifest", str(tmp_path / "out.tsv"), "--count", "1",
+                     "--zoom-min", "1e-320", "--zoom-max", "1e-320"]) == 1
+
     def test_same_seed_identical_trees(self, tmp_path, rng):
         mpath = self._manifest(tmp_path, rng)
         for tag in ("x", "y"):

@@ -509,29 +509,39 @@ def reference_sample(arr, sy, sx, mode, border):
     return out
 
 
+def _sample_source(rng, dtype, shape):
+    """uint8 noise, or float32 noise with negative values and -0.0."""
+    if dtype == np.uint8:
+        return rng.integers(0, 256, shape).astype(np.uint8)
+    arr = rng.normal(size=shape).astype(np.float32)
+    arr[arr > 0.8] = -0.0
+    return arr
+
+
 class TestSample:
     @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
     @pytest.mark.parametrize("border", ["clamp", "zero"])
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     def test_matches_per_pixel_reference(self, rng, mode, border, dtype):
         for h, w in ((1, 1), (3, 5), (6, 4)):
-            if dtype == np.uint8:
-                arr = rng.integers(0, 256, (h, w)).astype(np.uint8)
-            else:
-                arr = rng.random((h, w)).astype(np.float32)
-            # on, inside and beyond every edge, plus pixel centers and
-            # random interior points
-            ys = np.concatenate([[-1.7, -0.5, 0.0, 0.25, 0.5, h - 0.5, h, h + 0.5, h + 2.3],
+            arr = _sample_source(rng, dtype, (h, w))
+            # on, inside and beyond every edge, in the second ring of the
+            # bilinear pad (-2 <= y - 0.5 < -1, h + 0.5 <= y - 0.5 <= h + 1.5),
+            # beyond it and far beyond it, plus pixel centers and random
+            # interior points
+            ys = np.concatenate([[-1e300, -1.7, -1.0, -0.5, 0.0, 0.25, 0.5, h - 0.5, h,
+                                  h + 0.5, h + 1.0, h + 1.7, h + 2.0, h + 2.3, 1e300],
                                  rng.uniform(0, h, 4)])
-            xs = np.concatenate([[-2.2, -0.5, 0.0, 0.5, 0.75, w - 0.5, w, w + 0.5, w + 1.1],
+            xs = np.concatenate([[-1e300, -2.2, -1.5, -0.5, 0.0, 0.5, 0.75, w - 0.5, w,
+                                  w + 0.5, w + 1.1, w + 1.5, w + 2.0, 1e300],
                                  rng.uniform(0, w, 4)])
             sy, sx = np.meshgrid(ys, xs, indexing="ij")
             out = sample(arr, sy, sx, mode, border)
             want = reference_sample(arr, sy, sx, mode, border)
             assert out.dtype == want.dtype
-            assert np.array_equal(out, want)
+            assert out.tobytes() == want.tobytes()
             vectors = sample(arr, ys[:, None], xs[None, :], mode, border)
-            assert np.array_equal(vectors, want)
+            assert vectors.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
     @pytest.mark.parametrize("border", ["clamp", "zero"])
@@ -542,10 +552,7 @@ class TestSample:
         h, w, oh, ow = 9, 13, 97, 211
         rows = imageio._CHUNK_PIXELS // ow
         assert oh > 2 * rows and oh % rows
-        if dtype == np.uint8:
-            arr = rng.integers(0, 256, (h, w)).astype(np.uint8)
-        else:
-            arr = rng.random((h, w)).astype(np.float32)
+        arr = _sample_source(rng, dtype, (h, w))
         ys = np.linspace(-3 * h, 4 * h, oh) + rng.uniform(-0.5, 0.5, oh)
         xs = np.linspace(-3 * w, 4 * w, ow) + rng.uniform(-0.5, 0.5, ow)
         gy, gx = np.meshgrid(ys, xs, indexing="ij")
@@ -555,10 +562,29 @@ class TestSample:
         out = sample(arr, sy, sx, mode, border)
         want = reference_sample(arr, sy, sx, mode, border)
         assert out.dtype == want.dtype
-        assert np.array_equal(out, want)
+        assert out.tobytes() == want.tobytes()
         want = reference_sample(arr, gy, gx, mode, border)
         for vy, vx in ((ys[:, None], xs[None, :]), (gy, xs), (ys[:, None], gx)):
-            assert np.array_equal(sample(arr, vy, vx, mode, border), want)
+            assert sample(arr, vy, vx, mode, border).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    def test_huge_coordinates_read_the_edge(self, mode):
+        # an int64 cast of +1e300 wrapped to INT64_MIN, which read row 0
+        arr = np.arange(12, dtype=np.uint8).reshape(3, 4) + 10
+        for y, x, want in ((1e300, 1.5, 19), (-1e300, 1.5, 11), (1.5, 1e300, 17),
+                           (1.5, -1e300, 14), (1e300, -1e300, 18)):
+            assert sample(arr, [y], [x], mode, "clamp")[0] == want
+            assert sample(arr, [y], [x], mode, "zero")[0] == 0
+
+    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_rejected(self, mode, bad):
+        arr = np.ones((3, 4), np.float32)
+        ys = np.array([[0.5], [bad]])
+        xs = np.array([[0.5, 1.5]])
+        for sy, sx in ((ys, xs), (xs.T, ys.T)):
+            with pytest.raises(ValueError, match="finite"):
+                sample(arr, sy, sx, mode, "clamp")
 
     def test_uint8_rounds_half_up(self):
         arr = np.array([[0, 1]], np.uint8)
