@@ -31,7 +31,6 @@ from .metrics import require_2d
 @dataclass(frozen=True)
 class AugmentConfig:
     rotation_degrees: tuple = (5.0, 10.0)
-    rotate_both_directions: bool = True
     zoom_factors: tuple = (0.8, 1.4)
     mirror_probability: float = 0.5
     count: int = 2000
@@ -89,7 +88,8 @@ def zoom(image, mask, factor):
     shrinks the content into the middle and zero-pads the border."""
     img, msk = _check_pair(image, mask)
     inv = 1.0 / check_range(factor, "factor", 0, lo_open=True)
-    check_range(inv, "1/factor")  # inf for a factor below about 5.6e-309
+    # bounds every source offset; a Python float overflows with no warning
+    check_range(inv * max(img.shape), "1/factor times the image size")
     return _resample_pair(img, msk, lambda y, x: (inv * y, inv * x))
 
 
@@ -100,7 +100,7 @@ def sample_transform(config, index, source_count):
     src = int(rng.integers(source_count))
     mirrored = bool(rng.random() < config.mirror_probability)
     angle = float(rng.uniform(*config.rotation_degrees))
-    if config.rotate_both_directions and rng.random() < 0.5:
+    if rng.random() < 0.5:
         angle = -angle
     factor = float(rng.uniform(*config.zoom_factors))
     return src, mirrored, angle, factor

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -372,8 +372,8 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
         else:
             stale += 1
             if stale >= hyper.plateau_patience:
-                state = state.with_learning_rate(
-                    state.learning_rate * hyper.plateau_factor)
+                state = replace(
+                    state, learning_rate=state.learning_rate * hyper.plateau_factor)
                 stale = 0
         if hyper.dice_target is not None and run.train_dice[-1] > hyper.dice_target:
             break
@@ -386,6 +386,9 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
 def save_metalearner(params, path, hyper=None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # the header goes first and comes back last, so a save that fails
+    # midway leaves no model that loads, never one mixing two saves
+    path.unlink(missing_ok=True)
     layers = []
     for i, layer in enumerate(params.layers):
         o, c, kh, kw = layer.weights.shape

@@ -80,6 +80,7 @@ def _soft_counts(target, prediction):
 
 
 def iou_soft(target, prediction, smooth=1e-6):
+    check_range(smooth, "smooth", 0, lo_open=True)
     tp, fn, fp = _soft_counts(target, prediction)
     return (tp + smooth) / (tp + fp + fn + smooth)
 
@@ -90,6 +91,7 @@ def iou_loss(target, prediction, smooth=1e-6):
 
 def tversky_index(target, prediction, fn_weight=0.7, smooth=1e-6):
     check_range(fn_weight, "fn_weight", 0, 1)
+    check_range(smooth, "smooth", 0, lo_open=True)
     tp, fn, fp = _soft_counts(target, prediction)
     return (tp + smooth) / (tp + fn_weight * fn + (1.0 - fn_weight) * fp + smooth)
 

@@ -36,6 +36,11 @@ MB, of which 7.5, 30.2 and 120.75 MB are the layer inputs that forward
 caches (26.2, 85.3 and 320.2 MB with whole-image input gradients).
 conv2d_backward runs the stream's two consumers on a whole grad_out.
 
+adam_step is bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) at the
+usual moment decays beta1 = 0.9 and beta2 = 0.999 and stabilizer
+epsilon = 1e-8, module constants; an AdamState sets only the learning
+rate.
+
 All operations are pure: inputs are never mutated and identical inputs
 produce bit-identical outputs.
 """
@@ -47,7 +52,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NumericError, ShapeMismatchError
+from .errors import NumericError, ShapeMismatchError, check_range
 from .metrics import require_chw
 
 
@@ -55,6 +60,7 @@ from .metrics import require_chw
 _STACKED_MAX_K = 64
 # Byte budget of the float64 buffers of one row band, rows of W + 2*pw.
 _BAND_BYTES = 4 << 20
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
 def _out_dtype(*arrays):
@@ -364,19 +370,13 @@ class AdamState:
     v: tuple
     t: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def fresh(cls, params, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def fresh(cls, params, learning_rate):
+        check_range(learning_rate, "learning_rate", 0)
         m = tuple(np.zeros(np.shape(p), dtype=np.float64) for p in params)
         v = tuple(np.zeros(np.shape(p), dtype=np.float64) for p in params)
-        return cls(m=m, v=v, t=0, learning_rate=learning_rate,
-                   beta1=beta1, beta2=beta2, epsilon=epsilon)
-
-    def with_learning_rate(self, learning_rate):
-        return replace(self, learning_rate=learning_rate)
+        return cls(m=m, v=v, t=0, learning_rate=learning_rate)
 
 
 def adam_step(params, grads, state):
@@ -390,8 +390,8 @@ def adam_step(params, grads, state):
             f"state for {len(state.m)}"
         )
     t = state.t + 1
-    corr1 = 1.0 - state.beta1 ** t
-    corr2 = 1.0 - state.beta2 ** t
+    corr1 = 1.0 - _BETA1 ** t
+    corr2 = 1.0 - _BETA2 ** t
     new_params, new_m, new_v = [], [], []
     for idx, (p, g) in enumerate(zip(params, grads)):
         p = np.asarray(p)
@@ -405,9 +405,9 @@ def adam_step(params, grads, state):
             raise NumericError(
                 f"non-finite gradient for parameter {idx} at index {bad}"
             )
-        m = state.beta1 * state.m[idx] + (1.0 - state.beta1) * g64
-        v = state.beta2 * state.v[idx] + (1.0 - state.beta2) * g64 * g64
-        step = state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+        m = _BETA1 * state.m[idx] + (1.0 - _BETA1) * g64
+        v = _BETA2 * state.v[idx] + (1.0 - _BETA2) * g64 * g64
+        step = state.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + _EPSILON)
         new_params.append((p.astype(np.float64) - step).astype(p.dtype))
         new_m.append(m)
         new_v.append(v)

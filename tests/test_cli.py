@@ -5,6 +5,7 @@ import argparse
 import json
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,11 +260,11 @@ class TestStack:
 
 
 class TestAugmentCommand:
-    def _manifest(self, tmp_path, rng):
+    def _manifest(self, tmp_path, rng, size=10):
         records = []
         for i in range(2):
-            img = rng.integers(0, 256, (10, 10), dtype=np.uint8)
-            mask = (rng.random((10, 10)) > 0.5).astype(np.uint8)
+            img = rng.integers(0, 256, (size, size), dtype=np.uint8)
+            mask = (rng.random((size, size)) > 0.5).astype(np.uint8)
             ip, mp = tmp_path / f"i{i}.pgm", tmp_path / f"m{i}.pgm"
             imageio.store_gray(img, ip)
             imageio.store_mask(mask, mp)
@@ -296,6 +297,15 @@ class TestAugmentCommand:
                      "--outdir", str(tmp_path / "aug"),
                      "--out-manifest", str(tmp_path / "out.tsv"), "--count", "1",
                      "--zoom-min", "1e-320", "--zoom-max", "1e-320"]) == 1
+
+    def test_zoom_factor_with_overflowing_coordinates_exits_one(self, tmp_path,
+                                                                 rng):
+        # 1e307 times a 64-pixel image's offsets overflows: numpy warned
+        mpath = self._manifest(tmp_path, rng, size=64)
+        assert main(["augment", "--manifest", str(mpath),
+                     "--outdir", str(tmp_path / "aug"),
+                     "--out-manifest", str(tmp_path / "out.tsv"), "--count", "1",
+                     "--zoom-min", "1e-307", "--zoom-max", "1e-307"]) == 1
 
     def test_same_seed_identical_trees(self, tmp_path, rng):
         mpath = self._manifest(tmp_path, rng)
@@ -401,6 +411,40 @@ class TestModelHeader:
         imageio.store_feature_stack(np.zeros((2, 1, 1), np.float32),
                                     model.parent / spec["bias_file"])
         model.write_text(json.dumps(meta))
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 2
+        assert not (tmp_path / "preds").exists()
+
+    @pytest.mark.parametrize("failing", range(11))
+    def test_failed_save_never_loads_a_mix(self, tmp_path, rng, monkeypatch,
+                                           failing):
+        # write ``failing`` of a save over model A fails: one of the ten
+        # tensor files, or (10) the header. A's header used to stay, and
+        # load B's first layers with A's last ones.
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        stored = []
+
+        def store(arr, path):
+            if len(stored) == failing:
+                raise OSError("no space left on device")
+            stored.append(path)
+            imageio.store_feature_stack(arr, path)
+
+        def write_text(path, text):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(ensemble, "store_feature_stack", store)
+            m.setattr(Path, "write_text", write_text)
+            with pytest.raises(OSError):
+                ensemble.save_metalearner(ensemble.build_metalearner(2, seed=1),
+                                          model)
+        assert len(stored) == failing
+        with pytest.raises(OSError):
+            ensemble.load_metalearner(model)
         assert main(["stack", "predict", "--manifest", str(mpath),
                      "--params", str(model),
                      "--outdir", str(tmp_path / "preds")]) == 2

@@ -7,34 +7,29 @@ from segens.morpho import (BoundaryUncertaintyConfig, StructuringElement,
                            boundary_soft_labels, dilate, erode)
 
 
-def neighborhood_oracle(mask, op, values=None, support_only=None):
+def neighborhood_oracle(mask, op, support=None):
     """Per-pixel max/min over the 3x3 neighborhood, out-of-bounds = 0.
 
     Plain loops over the morphology definition, independent of the
     shift-and-reduce implementation under test.
     """
     h, w = mask.shape
-    if values is None:
-        values = np.zeros((3, 3))
-    if support_only is None:
-        support_only = np.ones((3, 3), bool)
+    if support is None:
+        support = np.ones((3, 3), bool)
     out = np.zeros((h, w), dtype=np.float64)
     for y in range(h):
         for x in range(w):
             samples = []
             for i in (-1, 0, 1):
                 for j in (-1, 0, 1):
-                    if not support_only[i + 1, j + 1]:
+                    if not support[i + 1, j + 1]:
                         continue
                     if op == "dilate":
                         yy, xx = y - i, x - j
                     else:
                         yy, xx = y + i, x + j
-                    v = mask[yy, xx] if 0 <= yy < h and 0 <= xx < w else 0.0
-                    if op == "dilate":
-                        samples.append(v + values[i + 1, j + 1])
-                    else:
-                        samples.append(v - values[i + 1, j + 1])
+                    samples.append(mask[yy, xx] if 0 <= yy < h and 0 <= xx < w
+                                   else 0.0)
             out[y, x] = max(samples) if op == "dilate" else min(samples)
     return out
 
@@ -92,22 +87,34 @@ class TestErode:
             assert (closed.astype(bool) | m.astype(bool) == closed.astype(bool)).all()
 
 
+_PARTIAL = np.array([[0, 1, 0], [0, 1, 1], [0, 0, 0]], bool)
+
+
 class TestGrayscale:
-    def test_additive_element_matches_oracle(self):
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float32])
+    @pytest.mark.parametrize("support", [np.ones((3, 3), bool), _PARTIAL],
+                             ids=["full", "partial"])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_bytes_match_oracle(self, dtype, support, iterations):
         rng = np.random.default_rng(4)
-        values = rng.uniform(-0.5, 0.5, (3, 3))
-        element = StructuringElement(values, np.ones((3, 3), bool))
-        img = rng.uniform(0.0, 2.0, (7, 6))
-        assert np.allclose(dilate(img, element),
-                           neighborhood_oracle(img, "dilate", values))
-        assert np.allclose(erode(img, element),
-                           neighborhood_oracle(img, "erode", values))
+        img = (rng.random((7, 6)) > 0.6 if dtype is bool
+               else rng.integers(0, 256, (7, 6))).astype(dtype)
+        element = StructuringElement(support)
+        for op, fn in (("dilate", dilate), ("erode", erode)):
+            want = img.astype(np.float64)
+            for _ in range(iterations):
+                want = neighborhood_oracle(want, op, support)
+            got = fn(img, element, iterations)
+            # uint8 and bool keep their dtype, any other becomes float64
+            want = want.astype(np.float64 if dtype is np.float32 else dtype)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_partial_support(self):
         support = np.zeros((3, 3), bool)
         support[1, 1] = True
         support[0, 1] = True
-        element = StructuringElement(np.zeros((3, 3)), support)
+        element = StructuringElement(support)
         m = np.zeros((5, 5), np.uint8)
         m[2, 2] = 1
         out = dilate(m, element)
@@ -118,13 +125,13 @@ class TestGrayscale:
         assert np.array_equal(out, expected)
         assert np.array_equal(
             out, (neighborhood_oracle(m.astype(float), "dilate",
-                                      support_only=support) > 0).astype(np.uint8))
+                                      support) > 0).astype(np.uint8))
 
     def test_support_must_contain_origin(self):
         support = np.ones((3, 3), bool)
         support[1, 1] = False
         with pytest.raises(ValueError, match="origin"):
-            StructuringElement(np.zeros((3, 3)), support)
+            StructuringElement(support)
 
 
 class TestProperties:

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from segens import augment, ensemble, imageio, losses, metrics, morpho, stats
+from segens import (augment, ensemble, imageio, losses, metrics, morpho,
+                    ndtensor, stats)
 from segens.cli import main
 from segens.errors import check_int, check_range
 
@@ -70,6 +71,7 @@ class TestCheckInt:
 
 
 _G = np.array([[0, 1], [1, 1]], np.uint8)
+_Z = np.zeros((2, 2), np.uint8)
 _RECORDS = [imageio.ManifestRecord("train", f"i{k}.pgm", f"m{k}.pgm")
             for k in range(10)]
 
@@ -103,6 +105,12 @@ SITES = [
      lambda v: losses.MixedLossConfig(window_sigma=v), "window_sigma"),
     ("tversky_index",
      lambda v: losses.tversky_index(_G, _G, fn_weight=v), "fn_weight"),
+    # NaN returned NaN; so did the losses that go through these two
+    ("tversky_index.smooth",
+     lambda v: losses.tversky_index(_G, _G, smooth=v), "smooth"),
+    ("iou_soft.smooth", lambda v: losses.iou_soft(_G, _G, smooth=v), "smooth"),
+    ("AdamState.fresh",
+     lambda v: ndtensor.AdamState.fresh([np.zeros(2)], v), "learning_rate"),
     ("AugmentConfig.rotation_degrees[0]",
      lambda v: augment.AugmentConfig(rotation_degrees=(v, 10.0)),
      r"rotation_degrees\[0\]"),
@@ -161,9 +169,16 @@ def test_non_finite_parameter_rejected(call, name, value):
     (lambda v: imageio.split_manifest(_RECORDS, ratios=(0.9, v, 0.3)),
      r"ratios\[1\]", -0.2),
     (lambda v: metrics.evaluate_pairs([_G], [_G], ci_n=v), "ci_n", 0),
+    # on empty masks 0 divided 0 by 0: a ZeroDivisionError traceback
+    (lambda v: losses.tversky_index(_Z, _Z, smooth=v), "smooth", 0.0),
+    (lambda v: losses.iou_soft(_Z, _Z, smooth=v), "smooth", 0.0),
+    (lambda v: losses.dice_loss(_G, _G, smooth=v), "smooth", -1e-6),
+    (lambda v: ndtensor.AdamState.fresh([np.zeros(2)], v), "learning_rate",
+     -1e-3),
 ], ids=["match-above-1", "match-below-0", "eval-match-above-1",
         "dice-target-above-1", "plateau-factor-0", "rotation-reversed",
-        "negative-split-ratio", "ci-n-0"])
+        "negative-split-ratio", "ci-n-0", "tversky-smooth-0", "iou-smooth-0",
+        "dice-loss-negative-smooth", "adam-negative-learning-rate"])
 def test_out_of_range_parameter_rejected(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be in "):
         call(value)
@@ -171,6 +186,7 @@ def test_out_of_range_parameter_rejected(call, name, value):
 
 def test_closed_ends_stay_accepted():
     ensemble.HyperParams(learning_rate=0.0, dice_target=0.0, plateau_factor=1.0)
+    ndtensor.AdamState.fresh([np.zeros(2)], 0.0)
     ensemble.HyperParams(dice_target=1.0)
     metrics.mask_level_match(_G, _G, 1.0)
     augment.AugmentConfig(rotation_degrees=(0.0, 0.0), zoom_factors=(1.0, 1.0),
