@@ -4,14 +4,16 @@ The package operates on exported per-pixel probability maps, binary masks,
 and feature stacks rather than on trained backbone networks. It covers:
 
 * ``imageio``   - PGM/PNG mask and probability-map codecs, the FST binary
-  tensor container, resampling, and dataset manifests with splits.
+  tensor container, the resampler augmentation uses, and dataset
+  manifests.
 * ``augment``   - offline affine augmentation (mirror, rotate, zoom).
 * ``morpho``    - grayscale/binary dilation and erosion plus the
   boundary-uncertainty soft-label transform.
-* ``losses``    - IoU/Dice/Tversky losses, focal Tversky with soft
+* ``losses``    - soft Dice and Tversky scores, focal Tversky with soft
   boundary labels, and the mixed MS-SSIM + MAE loss.
 * ``metrics``   - confusion counts, scalar metrics, PR/ROC curves,
-  11-point mAP, AUROC, and mask-level match classification.
+  11-point mAP, AUROC, and the evaluation report with its whole-mask
+  match tallies.
 * ``ensemble``  - bitwise AND/OR/MAX fusion and the five-layer
   fully-convolutional stacking meta-learner.
 * ``ndtensor``  - the dense-tensor kernel (conv2d with backprop, Adam)

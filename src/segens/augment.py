@@ -3,10 +3,9 @@
 Each generated sample applies, in order: an optional horizontal mirror,
 a rotation about the image center, and a center zoom. Both go through
 ``imageio.sample``: the image bilinearly and the mask with
-nearest-neighbor (so masks stay strictly binary), with the "zero" border
-rule, so samples falling outside the source take value 0 and zoom
-factors below 1 pad the exposed border with 0. Coordinates use
-half-pixel centers.
+nearest-neighbor (so masks stay strictly binary). Samples falling
+outside the source take value 0, so zoom factors below 1 pad the exposed
+border with 0. Coordinates use half-pixel centers.
 
 Generation is deterministic and order-independent: the RNG stream for
 output k is derived from (seed, k), so the same seed always reproduces
@@ -71,8 +70,8 @@ def _resample_pair(image, mask, inv):
     sy, sx = inv((np.arange(h) + 0.5 - cy)[:, None],
                  (np.arange(w) + 0.5 - cx)[None, :])
     sy, sx = sy + cy, sx + cx
-    return (sample(image, sy, sx, "bilinear", "zero"),
-            sample(mask, sy, sx, "nearest", "zero"))
+    return (sample(image, sy, sx, "bilinear"),
+            sample(mask, sy, sx, "nearest"))
 
 
 def rotate(image, mask, angle_degrees):
@@ -111,7 +110,9 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
 
     Writes image/mask files under ``output_dir`` and returns the input
     records plus one new train record per generated pair, in output
-    order. Each source pair is decoded once.
+    order. Each source pair is decoded once. ``output_dir`` is created at
+    the first write, so a run that fails before it, or writes nothing,
+    leaves no directory.
     """
     if image_format not in ("pgm", "png"):
         raise ValueError(f"image_format must be 'pgm' or 'png', got {image_format}")
@@ -120,7 +121,6 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
     if not train:
         raise ValueError("manifest has no train records to augment")
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ext = "." + image_format
     draws = [sample_transform(config, k, len(train)) for k in range(config.count)]
     # Group the outputs by source, groups in order of first use, so the
@@ -143,6 +143,7 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
             img, msk = zoom(img, msk, factor)
             img_path = out_dir / f"aug{k:05d}_image{ext}"
             msk_path = out_dir / f"aug{k:05d}_mask{ext}"
+            out_dir.mkdir(parents=True, exist_ok=True)
             store_gray(img, img_path)
             store_mask(msk, msk_path)
             added[k] = ManifestRecord(split="train", image=str(img_path),

@@ -201,12 +201,14 @@ def _cmd_eval(args):
 def _cmd_fuse(args):
     # checked before any input is read, as eval does
     check_range(args.threshold, "threshold", 0, 1)
+    if args.out_prob is not None and args.method != "max":
+        raise _UsageError("--out-prob needs --method max: and/or fuse masks only")
     maps = [imageio.load_probmap(p) for p in args.inputs]
     sidecar = {"method": args.method, "inputs": list(args.inputs),
                "threshold": args.threshold}
     if args.method == "max":
         fused, mask = ensemble.fuse_max(maps, binarize_threshold=args.threshold)
-        if args.out_prob:
+        if args.out_prob is not None:
             imageio.store_probmap(fused, args.out_prob)
             sidecar["probmap"] = args.out_prob
     else:

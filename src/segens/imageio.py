@@ -32,12 +32,12 @@ import functools
 import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError, check_int, check_range
+from .errors import DecodeError, NumericError
 from .metrics import as_binary, check_probabilities, require_2d, require_chw
 
 SPLITS = ("train", "validation", "test")
@@ -468,7 +468,7 @@ def load_feature_stack(path):
 _CHUNK_PIXELS = 8192
 
 
-def sample(arr, sy, sx, mode, border):
+def sample(arr, sy, sx, mode):
     """Read the 2-D array ``arr`` at source coordinates (``sy``, ``sx``).
 
     Coordinates use half-pixel centers: pixel (i, j) covers
@@ -477,15 +477,12 @@ def sample(arr, sy, sx, mode, border):
     float64; NaN or infinity raises ValueError. ``mode`` "nearest" returns
     the covering pixel in ``arr``'s dtype; "bilinear" blends the four
     nearest centers, rounding half up for uint8 and returning float32
-    otherwise. ``border`` says what lies outside the array: "clamp"
-    repeats the edge pixels, "zero" is 0.
+    otherwise. Everything outside the array is 0.
 
     The output is filled _CHUNK_PIXELS at a time, one flat gather per
-    neighbour from ``arr`` (float64 for "bilinear") padded by two border
-    pixels, so both neighbours of an index clipped into the pad lie in it.
+    neighbour from ``arr`` (float64 for "bilinear") padded by two rings of
+    zeros, so both neighbours of an index clipped into the pad lie in it.
     """
-    if border not in ("clamp", "zero"):
-        raise ValueError(f"unknown border rule {border!r}")
     if mode not in ("nearest", "bilinear"):
         raise ValueError(f"unknown resampling mode {mode!r}")
     h, w = arr.shape
@@ -496,8 +493,7 @@ def sample(arr, sy, sx, mode, border):
     out = np.empty(np.broadcast_shapes(sy.shape, sx.shape),
                    arr.dtype if mode == "nearest" or arr.dtype == np.uint8
                    else np.float32)
-    flat = np.pad(arr if mode == "nearest" else arr.astype(np.float64), 2,
-                  "edge" if border == "clamp" else "constant").ravel()
+    flat = np.pad(arr if mode == "nearest" else arr.astype(np.float64), 2).ravel()
     rows = max(1, _CHUNK_PIXELS // max(1, math.prod(out.shape[1:])))
     for r in range(0, len(out), rows):
         # a coordinate array spans the chunk's rows unless broadcast along them
@@ -521,24 +517,6 @@ def sample(arr, sy, sx, mode, border):
         out[r:r + rows] = (np.clip(np.floor(acc + 0.5), 0, 255)
                            if out.dtype == np.uint8 else acc)
     return out.reshape(shape)
-
-
-def resize(image, size=(256, 256), mode="bilinear"):
-    """Resample to ``size`` (height, width).
-
-    ``mode`` is "bilinear" for gray images and probability maps (values
-    stay in range) or "nearest" for masks (binarity is preserved). Source
-    coordinates use the half-pixel-center convention, and samples past
-    the edge take the value of the nearest edge pixel (clamp-to-edge).
-    """
-    arr = require_2d(image, "image")
-    h, w = arr.shape
-    oh, ow = (check_int(n, f"size[{i}]", 1) for i, n in enumerate(size))
-    if h == 0 or w == 0:
-        raise ValueError(f"cannot resize {h}x{w} to {oh}x{ow}")
-    sy = ((np.arange(oh) + 0.5) * (h / oh))[:, None]
-    sx = ((np.arange(ow) + 0.5) * (w / ow))[None, :]
-    return sample(arr, sy, sx, mode, "clamp")
 
 
 # ---------------------------------------------------------------------------
@@ -594,42 +572,3 @@ def write_manifest(records, path):
                                 ",".join(r.preds), ",".join(r.fsts)]))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                           encoding="utf-8")
-
-
-def split_manifest(records, ratios=(0.7, 0.2, 0.1), seed=0, counts=None):
-    """Assign train/validation/test tags by a seeded shuffle.
-
-    Without ``counts``, test gets floor(ratios[2]*n) records, validation
-    floor(ratios[1]*n), and train the remainder. ``counts`` is an explicit
-    (train, validation, test) override for reproducing published splits
-    whose arithmetic does not follow the floor rule.
-    """
-    records = list(records)
-    n = len(records)
-    if n == 0:
-        raise ValueError("cannot split an empty record list")
-    if counts is None:
-        for i, r in enumerate(ratios):
-            check_range(r, f"ratios[{i}]", 0, 1)
-        if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
-            raise ValueError(f"ratios must sum to 1, got {ratios}")
-        test_n = int(ratios[2] * n)
-        val_n = int(ratios[1] * n)
-        train_n = n - val_n - test_n
-    else:
-        train_n, val_n, test_n = (check_int(c, f"counts[{i}]", 0)
-                                  for i, c in enumerate(counts))
-        if train_n + val_n + test_n != n:
-            raise ValueError(
-                f"counts {counts} do not partition {n} records")
-    order = np.random.default_rng(seed).permutation(n)
-    out = [None] * n
-    for rank, idx in enumerate(order):
-        if rank < train_n:
-            tag = "train"
-        elif rank < train_n + val_n:
-            tag = "validation"
-        else:
-            tag = "test"
-        out[idx] = replace(records[idx], split=tag)
-    return out

@@ -16,11 +16,11 @@ against boundary-uncertainty soft labels of a hard mask and is the
 training loss of the stacking meta-learner.
 
 The mixed loss weighs structural dissimilarity against mean absolute
-error: similarity_weight * (1 - MS-SSIM) + mae_weight * MAE. MS-SSIM
-uses an 11x11 Gaussian window (sigma 1.5), 2x2 mean-pool downsampling,
-the usual five scale weights, and stabilizers C1 = (0.01 L)^2,
-C2 = (0.03 L)^2 with dynamic range L = 1; uint8 inputs are rescaled by
-1/255 to match.
+error: 0.84 * (1 - MS-SSIM) + 0.16 * MAE. MS-SSIM uses an 11x11
+Gaussian window (sigma 1.5), 2x2 mean-pool downsampling, the usual five
+scale weights (the first ``scales`` of them, renormalized), and
+stabilizers C1 = (0.01 L)^2, C2 = (0.03 L)^2 with dynamic range L = 1;
+uint8 inputs are rescaled by 1/255 to match.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 _SCALE_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
+# the 11-tap Gaussian of sigma 1.5
+_WINDOW = np.exp(-np.arange(-5.0, 6.0) ** 2 / 4.5)
+_WINDOW /= _WINDOW.sum()
 
 
 @dataclass(frozen=True)
@@ -52,19 +55,10 @@ class TverskyConfig:
 
 @dataclass(frozen=True)
 class MixedLossConfig:
-    similarity_weight: float = 0.84
-    mae_weight: float = 0.16
     scales: int = 5
-    window_size: int = 11
-    window_sigma: float = 1.5
 
     def __post_init__(self):
-        check_range(self.similarity_weight, "similarity_weight", 0)
-        check_range(self.mae_weight, "mae_weight", 0)
         check_int(self.scales, "scales", 1, len(_SCALE_WEIGHTS))
-        if check_int(self.window_size, "window_size", 3) % 2 == 0:
-            raise ValueError(f"window_size must be odd, got {self.window_size}")
-        check_range(self.window_sigma, "window_sigma", 0, lo_open=True)
 
 
 def _soft_counts(target, prediction):
@@ -79,16 +73,6 @@ def _soft_counts(target, prediction):
     return tp, fn, fp
 
 
-def iou_soft(target, prediction, smooth=1e-6):
-    check_range(smooth, "smooth", 0, lo_open=True)
-    tp, fn, fp = _soft_counts(target, prediction)
-    return (tp + smooth) / (tp + fp + fn + smooth)
-
-
-def iou_loss(target, prediction, smooth=1e-6):
-    return 1.0 - iou_soft(target, prediction, smooth)
-
-
 def tversky_index(target, prediction, fn_weight=0.7, smooth=1e-6):
     check_range(fn_weight, "fn_weight", 0, 1)
     check_range(smooth, "smooth", 0, lo_open=True)
@@ -100,10 +84,6 @@ def dice_soft(target, prediction, smooth=1e-6):
     # Tversky at fn_weight 0.5; identical to 2TP/(2TP+FP+FN) with the
     # stabilizer doubled, and bit-for-bit equal to tversky_index(0.5).
     return tversky_index(target, prediction, fn_weight=0.5, smooth=smooth)
-
-
-def dice_loss(target, prediction, smooth=1e-6):
-    return 1.0 - dice_soft(target, prediction, smooth)
 
 
 def focal_tversky_loss(target, prediction, config=None):
@@ -150,24 +130,18 @@ def _as_unit_image(x, name):
     return arr.astype(np.float64)
 
 
-def _gaussian_window(size, sigma):
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return g / g.sum()
+def _filter_valid(img):
+    k = _WINDOW.size
+    t = np.lib.stride_tricks.sliding_window_view(img, k, axis=0) @ _WINDOW
+    return np.lib.stride_tricks.sliding_window_view(t, k, axis=1) @ _WINDOW
 
 
-def _filter_valid(img, window):
-    k = window.size
-    t = np.lib.stride_tricks.sliding_window_view(img, k, axis=0) @ window
-    return np.lib.stride_tricks.sliding_window_view(t, k, axis=1) @ window
-
-
-def _ssim_maps(a, b, window):
-    mu1 = _filter_valid(a, window)
-    mu2 = _filter_valid(b, window)
-    s11 = _filter_valid(a * a, window) - mu1 * mu1
-    s22 = _filter_valid(b * b, window) - mu2 * mu2
-    s12 = _filter_valid(a * b, window) - mu1 * mu2
+def _ssim_maps(a, b):
+    mu1 = _filter_valid(a)
+    mu2 = _filter_valid(b)
+    s11 = _filter_valid(a * a) - mu1 * mu1
+    s22 = _filter_valid(b * b) - mu2 * mu2
+    s12 = _filter_valid(a * b) - mu1 * mu2
     luminance = (2.0 * mu1 * mu2 + _C1) / (mu1 * mu1 + mu2 * mu2 + _C1)
     contrast = (2.0 * s12 + _C2) / (s11 + s22 + _C2)
     return luminance, contrast
@@ -193,20 +167,18 @@ def msssim(a, b, config=None):
     y = _as_unit_image(b, "b")
     if x.shape != y.shape:
         raise ShapeMismatchError(f"image shapes differ: {x.shape} vs {y.shape}")
-    min_size = cfg.window_size * 2 ** (cfg.scales - 1)
+    min_size = _WINDOW.size * 2 ** (cfg.scales - 1)
     if min(x.shape) < min_size:
         raise ValueError(
             f"image {x.shape} too small for {cfg.scales} scales with an "
-            f"{cfg.window_size}x{cfg.window_size} window; needs at least "
-            f"{min_size}x{min_size}")
+            f"11x11 window; needs at least {min_size}x{min_size}")
     weights = list(_SCALE_WEIGHTS[:cfg.scales])
     if cfg.scales < len(_SCALE_WEIGHTS):
         total = sum(weights)
         weights = [w / total for w in weights]
-    window = _gaussian_window(cfg.window_size, cfg.window_sigma)
     value = 1.0
     for level in range(cfg.scales):
-        luminance, contrast = _ssim_maps(x, y, window)
+        luminance, contrast = _ssim_maps(x, y)
         if level == cfg.scales - 1:
             factor = float((luminance * contrast).mean())
         else:
@@ -218,7 +190,5 @@ def msssim(a, b, config=None):
 
 
 def mixed_loss(a, b, config=None):
-    """similarity_weight * (1 - MS-SSIM) + mae_weight * MAE."""
-    cfg = config or MixedLossConfig()
-    return (cfg.similarity_weight * (1.0 - msssim(a, b, cfg))
-            + cfg.mae_weight * mean_absolute_error(a, b))
+    """0.84 * (1 - MS-SSIM) + 0.16 * MAE."""
+    return 0.84 * (1.0 - msssim(a, b, config)) + 0.16 * mean_absolute_error(a, b)

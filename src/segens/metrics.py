@@ -14,11 +14,12 @@ the mean over recall levels {0.0, 0.1, ..., 1.0} of the interpolated
 precision (the best precision among curve points whose recall reaches
 the level), and AUROC is the trapezoid over (FPR, TPR).
 
-``mask_level_match`` classifies a whole predicted mask against its
-ground truth at an IoU threshold (default 0.5, strict inequality): both
+The report's ``mask_level`` block tallies whole masks: each thresholded
+prediction is matched against its ground truth at IoU 0.5 (strict
+inequality), and the block records that 0.5 as ``iou_threshold``. Both
 empty is a TN, an unmatched prediction an FP, an unmatched ground truth
-an FN, and an overlapping pair below the threshold counts as one FP plus
-one FN.
+an FN, an overlap above 0.5 a TP, and any other overlap one FP plus one
+FN. Each image's outcome is its per-image ``mask_match``.
 """
 
 from __future__ import annotations
@@ -222,18 +223,12 @@ def _checked_pairs(predictions, ground_truths):
         raise ValueError("need at least one prediction/ground-truth pair")
 
 
-def _pooled_curve(pairs, thresholds):
-    """Pooled curve of checked pairs. A pooled count of pixels with p >= t
-    is the sum of per-image counts, so summing each image's integer tp/fp
-    per threshold is exact and holds one image at a time."""
-    if thresholds is None:
-        grid = default_threshold_grid()
-    else:
-        grid = np.asarray(thresholds, dtype=np.float64)
-        if grid.size == 0 or grid.min() < 0.0 or grid.max() > 1.0:
-            raise ValueError("thresholds must be a non-empty subset of [0, 1]")
-        grid = np.unique(grid)
-    grid = grid[::-1]  # strictly decreasing
+def _pooled_curve(pairs):
+    """Pooled curve of checked pairs over the default grid. A pooled count
+    of pixels with p >= t is the sum of per-image counts, so summing each
+    image's integer tp/fp per threshold is exact and holds one image at a
+    time."""
+    grid = default_threshold_grid()[::-1]  # strictly decreasing
     cuts = {dt: _at_least(grid, dt) for dt in _SCORED}
 
     tp = fp = n_fg = n_bg = 0
@@ -253,14 +248,15 @@ def _pooled_curve(pairs, thresholds):
                  tpr=recall.copy(), fpr=fpr)
 
 
-def pr_roc_curves(predictions, ground_truths, thresholds=None):
-    """Pool pixels over the image set and sweep binarization thresholds.
+def pr_roc_curves(predictions, ground_truths):
+    """Pool pixels over the image set and sweep the 101 thresholds of
+    ``default_threshold_grid``.
 
     ``predictions`` and ``ground_truths`` are iterables (lists or
     generators) read once, in step, one pair at a time, so memory holds
     one image plus the threshold grid whatever the image count.
     """
-    return _pooled_curve(_checked_pairs(predictions, ground_truths), thresholds)
+    return _pooled_curve(_checked_pairs(predictions, ground_truths))
 
 
 def write_curve_csv(curve, path):
@@ -288,29 +284,20 @@ def map11(curve):
     return math.fsum(picks) / 11.0
 
 
-def mask_level_match(pred, gt, iou_threshold=0.5):
-    """Whole-mask outcome at an IoU threshold, as a one-mask tally.
-
-    The below-threshold overlap case yields fp=1 and fn=1, which is why
-    the result is a ConfusionCounts rather than a single label.
-    """
-    check_range(iou_threshold, "iou_threshold", 0, 1)
-    return _MATCH_TALLIES[_match_label(confusion(pred, gt), iou_threshold)]
-
-
+_MATCH_IOU = 0.5
 _MATCH_TALLIES = {"TP": ConfusionCounts(1, 0, 0, 0), "FP": ConfusionCounts(0, 1, 0, 0),
                   "FN": ConfusionCounts(0, 0, 1, 0), "TN": ConfusionCounts(0, 0, 0, 1),
                   "FP+FN": ConfusionCounts(0, 1, 1, 0)}
 
 
-def _match_label(c, iou_threshold):
+def _match_label(c):
     """The whole-mask outcome from the pixel tallies of the pair: the
     intersection is tp and the union tp + fp + fn."""
     if c.tp + c.fp == 0:
         return "FN" if c.fn else "TN"
     if c.tp + c.fn == 0:
         return "FP"
-    return "TP" if c.tp / (c.tp + c.fp + c.fn) > iou_threshold else "FP+FN"
+    return "TP" if c.tp / (c.tp + c.fp + c.fn) > _MATCH_IOU else "FP+FN"
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +332,7 @@ class MetricReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
-                   curve_thresholds=None, iou_match_threshold=0.5):
+def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     """Full evaluation of probability maps against hard masks.
 
     ``predictions`` and ``ground_truths`` are iterables (lists or
@@ -361,7 +347,6 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
     variants with method tags.
     """
     check_range(threshold, "threshold", 0, 1)
-    check_range(iou_match_threshold, "iou_match_threshold", 0, 1)
     if ci_n is not None:
         ci_n = check_int(ci_n, "ci_n", 1)
 
@@ -374,14 +359,13 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
             yield p, gb
 
     curve = _pooled_curve(
-        with_hard_counts(_checked_pairs(predictions, ground_truths)),
-        curve_thresholds)
+        with_hard_counts(_checked_pairs(predictions, ground_truths)))
     per_image = []
     pooled = ConfusionCounts(0, 0, 0, 0)
     match_tally = ConfusionCounts(0, 0, 0, 0)
     for idx, c in enumerate(counts):
         pooled = pooled + c
-        label = _match_label(c, iou_match_threshold)
+        label = _match_label(c)
         match_tally = match_tally + _MATCH_TALLIES[label]
         row = {"index": idx}
         row.update(scalar_metrics(c))
@@ -408,7 +392,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None,
         counts=pooled,
         macro=macro,
         mask_level={**match_tally.to_dict(),
-                    "iou_threshold": float(iou_match_threshold)},
+                    "iou_threshold": _MATCH_IOU},
         zero_division=undefined_metrics(pooled),
         per_image=per_image,
     ), curve

@@ -1,10 +1,10 @@
 """Grayscale/binary morphology and boundary-uncertainty soft labels.
 
-Dilation takes, at each pixel, the maximum of X(x-i, y-j) over the flat
-structuring element's support; erosion the minimum of X(x+i, y+j).
-Samples falling outside the image are treated as background (value 0),
-so erosion eats one border ring of an all-one mask and dilation never
-hallucinates foreground from the border.
+Dilation takes, at each pixel, the maximum over its 3x3 neighborhood
+(the flat 3x3 structuring element, which is its own reflection); erosion
+the minimum. Samples falling outside the image are treated as background
+(value 0), so erosion eats one border ring of an all-one mask and
+dilation never hallucinates foreground from the border.
 
 The soft-label transform relabels the one-element-wide rings around the
 foreground boundary: the interior ring (mask minus its erosion) gets the
@@ -19,73 +19,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_int
+from .errors import check_int
 from .metrics import as_binary, require_2d
 
 
-@dataclass(frozen=True)
-class StructuringElement:
-    """Flat structuring element centered on the origin.
-
-    ``support`` marks which offsets participate; it is (2a+1, 2b+1) with
-    the origin at the center.
-    """
-
-    support: np.ndarray
-
-    def __post_init__(self):
-        sup = np.asarray(self.support, dtype=bool)
-        if sup.ndim != 2:
-            raise ShapeMismatchError(
-                f"element support must be a 2-D array, got shape {sup.shape}")
-        if sup.shape[0] % 2 == 0 or sup.shape[1] % 2 == 0:
-            raise ValueError(f"element dims must be odd, got {sup.shape}")
-        if not sup.any():
-            raise ValueError("element support is empty")
-        if not sup[sup.shape[0] // 2, sup.shape[1] // 2]:
-            raise ValueError("element support must contain the origin")
-        object.__setattr__(self, "support", sup)
-
-    @classmethod
-    def flat(cls, size=3):
-        return cls(np.ones((size, size), dtype=bool))
-
-
-_FLAT3 = StructuringElement.flat(3)
-
-
-def _morph(x, support, iterations, reduce):
-    """``reduce`` (np.maximum or np.minimum) over the views X(x+i, y+j) of
-    the offsets (i, j) in ``support``, ``iterations`` times. Flat results
-    are exact, so uint8 and bool inputs keep their dtype; any other is
+def _morph(x, iterations, reduce):
+    """``reduce`` (np.maximum or np.minimum) over the nine views
+    X(x+i, y+j), |i|, |j| <= 1, ``iterations`` times. Flat results are
+    exact, so uint8 and bool inputs keep their dtype; any other is
     computed in float64."""
     arr = require_2d(x, "image")
     check_int(iterations, "iterations", 1)
-    a, b = support.shape[0] // 2, support.shape[1] // 2
     h, w = arr.shape
     cur = arr if arr.dtype in (np.uint8, bool) else arr.astype(np.float64)
     for _ in range(iterations):
-        padded = np.zeros((h + 2 * a, w + 2 * b), cur.dtype)
-        padded[a:a + h, b:b + w] = cur
-        cur = None
-        for i, j in np.argwhere(support):
-            view = padded[i:i + h, j:j + w]
-            cur = view.copy() if cur is None else reduce(cur, view, out=cur)
+        padded = np.zeros((h + 2, w + 2), cur.dtype)
+        padded[1:1 + h, 1:1 + w] = cur
+        cur = padded[:h, :w].copy()
+        for k in range(1, 9):
+            i, j = divmod(k, 3)
+            reduce(cur, padded[i:i + h, j:j + w], out=cur)
     return cur
 
 
-def dilate(x, element=None, iterations=1):
-    """n-fold grayscale dilation; on binary masks with the flat 3x3
-    element this is the 8-neighborhood union."""
-    # X(x - i, y - j) is X(x + i, y + j) over the reflected support
-    return _morph(x, (element or _FLAT3).support[::-1, ::-1], iterations,
-                  np.maximum)
+def dilate(x, iterations=1):
+    """n-fold grayscale dilation; on binary masks this is the
+    8-neighborhood union."""
+    return _morph(x, iterations, np.maximum)
 
 
-def erode(x, element=None, iterations=1):
+def erode(x, iterations=1):
     """n-fold grayscale erosion; a binary pixel survives only if its whole
     neighborhood (restricted to the image) is foreground."""
-    return _morph(x, (element or _FLAT3).support, iterations, np.minimum)
+    return _morph(x, iterations, np.minimum)
 
 
 @dataclass(frozen=True)

@@ -146,9 +146,9 @@ class TestZoom:
     def test_samples_through_a_column_and_a_row_vector(self, monkeypatch):
         shapes = []
 
-        def spy(arr, sy, sx, mode, border):
+        def spy(arr, sy, sx, mode):
             shapes.append((np.shape(sy), np.shape(sx)))
-            return imageio.sample(arr, sy, sx, mode, border)
+            return imageio.sample(arr, sy, sx, mode)
 
         monkeypatch.setattr(augment, "sample", spy)
         img = np.zeros((5, 7), np.uint8)
@@ -228,6 +228,7 @@ class TestAugmentDataset:
         records = _seed_dataset(tmp_path)
         out = augment_dataset(records, AugmentConfig(count=0), tmp_path / "aug")
         assert out == records
+        assert not (tmp_path / "aug").exists()
 
     def test_train_split_grows_by_count(self, tmp_path):
         records = _seed_dataset(tmp_path)
@@ -391,3 +392,14 @@ class TestDefectiveSources:
                      "--out-manifest", str(tmp_path / "out.tsv"),
                      "--count", str(count), "--seed", str(seed)]) == code
         assert not (tmp_path / "out.tsv").exists()
+
+    def test_undecodable_first_source_leaves_no_outdir(self, tmp_path):
+        # --outdir was created before the first source was decoded
+        records = _seed_dataset(tmp_path, n=1)
+        Path(records[0].image).write_bytes(b"NOTANIMAGE")
+        write_manifest(records, tmp_path / "in.tsv")
+        assert main(["augment", "--manifest", str(tmp_path / "in.tsv"),
+                     "--outdir", str(tmp_path / "aug"),
+                     "--out-manifest", str(tmp_path / "out.tsv"),
+                     "--count", "3"]) == 2
+        assert not (tmp_path / "aug").exists()

@@ -149,6 +149,29 @@ class TestFuse:
                      "--threshold", threshold, "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_empty_out_prob_is_not_skipped(self, tmp_path, rng):
+        # an empty --out-prob was taken as absent: exit 0 and no map
+        p = tmp_path / "p.pgm"
+        imageio.store_probmap(rng.random((4, 4)), p)
+        out = tmp_path / "fused.pgm"
+        assert main(["fuse", "--method", "max", "--inputs", str(p), str(p),
+                     "--out", str(out), "--out-prob", ""]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["and", "or"])
+    def test_out_prob_without_max_exits_one_before_reading(self, tmp_path,
+                                                           capsys, method):
+        # it exited 0 and wrote no probability map; missing inputs would
+        # exit 2, so the usage error is found before any input is read
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["fuse", "--method", method,
+                     "--inputs", str(tmp_path / "missing1.pgm"),
+                     str(tmp_path / "missing2.pgm"), "--out", str(out / "f.pgm"),
+                     "--out-prob", str(out / "p.pgm")]) == 1
+        assert "--out-prob needs --method max" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 def make_stack_manifest(tmp_path, rng, n_train=4, n_val=1, size=12):
     records = []
@@ -280,6 +303,7 @@ class TestAugmentCommand:
                      "--outdir", str(tmp_path / "aug"),
                      "--out-manifest", str(out), "--count", "0"]) == 0
         assert imageio.read_manifest(out) == imageio.read_manifest(mpath)
+        assert not (tmp_path / "aug").exists()
 
     def test_count_grows_train_split(self, tmp_path, rng):
         mpath = self._manifest(tmp_path, rng)
@@ -300,12 +324,14 @@ class TestAugmentCommand:
 
     def test_zoom_factor_with_overflowing_coordinates_exits_one(self, tmp_path,
                                                                  rng):
-        # 1e307 times a 64-pixel image's offsets overflows: numpy warned
+        # 1e307 times a 64-pixel image's offsets overflows: numpy warned;
+        # then an empty --outdir was left behind
         mpath = self._manifest(tmp_path, rng, size=64)
         assert main(["augment", "--manifest", str(mpath),
                      "--outdir", str(tmp_path / "aug"),
                      "--out-manifest", str(tmp_path / "out.tsv"), "--count", "1",
                      "--zoom-min", "1e-307", "--zoom-max", "1e-307"]) == 1
+        assert not (tmp_path / "aug").exists()
 
     def test_same_seed_identical_trees(self, tmp_path, rng):
         mpath = self._manifest(tmp_path, rng)

@@ -1,4 +1,4 @@
-"""Round trips, decode errors, resizing, and manifest splits."""
+"""Round trips, decode errors, resampling, and manifests."""
 
 import math
 import struct
@@ -12,10 +12,9 @@ from _oracles import filter_scanline, unfilter_reference
 from segens import imageio
 from segens.errors import DecodeError, NumericError
 from segens.imageio import (ManifestRecord, load_feature_stack, load_gray,
-                            load_mask, load_probmap, read_manifest, resize,
-                            sample, split_manifest, store_feature_stack,
-                            store_gray, store_mask, store_probmap,
-                            write_manifest)
+                            load_mask, load_probmap, read_manifest, sample,
+                            store_feature_stack, store_gray, store_mask,
+                            store_probmap, write_manifest)
 
 
 @pytest.fixture
@@ -446,48 +445,11 @@ class TestFst:
             assert not path.exists()
 
 
-class TestResize:
-    def test_constant_image(self):
-        out = resize(np.full((10, 20), 7, np.uint8), (256, 256))
-        assert out.shape == (256, 256) and (out == 7).all()
-
-    def test_same_size_is_identity(self, rng):
-        img = rng.integers(0, 256, (256, 256), dtype=np.uint8)
-        assert np.array_equal(resize(img, (256, 256)), img)
-        pm = rng.random((256, 256)).astype(np.float32)
-        assert np.allclose(resize(pm, (256, 256)), pm)
-
-    def test_checkerboard_nearest_upsample(self):
-        board = np.array([[0, 1], [1, 0]], np.uint8)
-        out = resize(board, (256, 256), mode="nearest")
-        assert set(np.unique(out)) <= {0, 1}
-        assert (out[:128, :128] == 0).all() and (out[:128, 128:] == 1).all()
-        assert (out[128:, :128] == 1).all() and (out[128:, 128:] == 0).all()
-
-    def test_mask_stays_binary_and_probmap_in_range(self, rng):
-        mask = (rng.random((31, 17)) > 0.5).astype(np.uint8)
-        out = resize(mask, (256, 256), mode="nearest")
-        assert set(np.unique(out)) <= {0, 1}
-        pm = rng.random((31, 17)).astype(np.float32)
-        out = resize(pm, (256, 256), mode="bilinear")
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_zero_sized_input_rejected(self):
-        with pytest.raises(ValueError):
-            resize(np.zeros((0, 4), np.uint8), (8, 8))
-
-    def test_upsampling_clamps_the_low_edge(self):
-        out = resize(np.array([[0.0], [1.0]]), (4, 1))
-        assert np.array_equal(out[:, 0], np.array([0, 0.25, 0.75, 1.0], np.float32))
-
-
-def reference_sample(arr, sy, sx, mode, border):
+def reference_sample(arr, sy, sx, mode):
     """Per-pixel ``sample`` with the same arithmetic order."""
     h, w = arr.shape
 
     def at(i, j):
-        if border == "clamp":
-            return float(arr[min(max(i, 0), h - 1), min(max(j, 0), w - 1)])
         return float(arr[i, j]) if 0 <= i < h and 0 <= j < w else 0.0
 
     if mode == "nearest" or arr.dtype == np.uint8:
@@ -518,11 +480,15 @@ def _sample_source(rng, dtype, shape):
     return arr
 
 
+# every source dtype and mode; the ids name the zero border ``sample`` reads
+# past every edge
+SAMPLE_CASES = [pytest.param(dtype, mode, id=f"{np.dtype(dtype).name}-zero-{mode}")
+                for dtype in (np.uint8, np.float32) for mode in ("bilinear", "nearest")]
+
+
 class TestSample:
-    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
-    @pytest.mark.parametrize("border", ["clamp", "zero"])
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
-    def test_matches_per_pixel_reference(self, rng, mode, border, dtype):
+    @pytest.mark.parametrize("dtype, mode", SAMPLE_CASES)
+    def test_matches_per_pixel_reference(self, rng, dtype, mode):
         for h, w in ((1, 1), (3, 5), (6, 4)):
             arr = _sample_source(rng, dtype, (h, w))
             # on, inside and beyond every edge, in the second ring of the
@@ -536,17 +502,15 @@ class TestSample:
                                   w + 0.5, w + 1.1, w + 1.5, w + 2.0, 1e300],
                                  rng.uniform(0, w, 4)])
             sy, sx = np.meshgrid(ys, xs, indexing="ij")
-            out = sample(arr, sy, sx, mode, border)
-            want = reference_sample(arr, sy, sx, mode, border)
+            out = sample(arr, sy, sx, mode)
+            want = reference_sample(arr, sy, sx, mode)
             assert out.dtype == want.dtype
             assert out.tobytes() == want.tobytes()
-            vectors = sample(arr, ys[:, None], xs[None, :], mode, border)
+            vectors = sample(arr, ys[:, None], xs[None, :], mode)
             assert vectors.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
-    @pytest.mark.parametrize("border", ["clamp", "zero"])
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
-    def test_grids_spanning_several_chunks(self, rng, mode, border, dtype):
+    @pytest.mark.parametrize("dtype, mode", SAMPLE_CASES)
+    def test_grids_spanning_several_chunks(self, rng, dtype, mode):
         # 97 x 211 outputs take three chunks of rows, the last one partial,
         # and their coordinates reach far past every edge of a 9 x 13 source
         h, w, oh, ow = 9, 13, 97, 211
@@ -559,22 +523,24 @@ class TestSample:
         # a full grid no pair of vectors spans: sheared, with jitter
         sy = gy + 0.3 * gx + rng.uniform(-1, 1, gy.shape)
         sx = gx - 0.2 * gy + rng.uniform(-1, 1, gx.shape)
-        out = sample(arr, sy, sx, mode, border)
-        want = reference_sample(arr, sy, sx, mode, border)
+        out = sample(arr, sy, sx, mode)
+        want = reference_sample(arr, sy, sx, mode)
         assert out.dtype == want.dtype
         assert out.tobytes() == want.tobytes()
-        want = reference_sample(arr, gy, gx, mode, border)
+        want = reference_sample(arr, gy, gx, mode)
         for vy, vx in ((ys[:, None], xs[None, :]), (gy, xs), (ys[:, None], gx)):
-            assert sample(arr, vy, vx, mode, border).tobytes() == want.tobytes()
+            assert sample(arr, vy, vx, mode).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
     def test_huge_coordinates_read_the_edge(self, mode):
-        # an int64 cast of +1e300 wrapped to INT64_MIN, which read row 0
+        # an int64 cast of +1e300 wrapped to INT64_MIN, which read row 0;
+        # past each edge lies the zero pad, just inside it the edge pixel
         arr = np.arange(12, dtype=np.uint8).reshape(3, 4) + 10
-        for y, x, want in ((1e300, 1.5, 19), (-1e300, 1.5, 11), (1.5, 1e300, 17),
+        for y, x, edge in ((1e300, 1.5, 19), (-1e300, 1.5, 11), (1.5, 1e300, 17),
                            (1.5, -1e300, 14), (1e300, -1e300, 18)):
-            assert sample(arr, [y], [x], mode, "clamp")[0] == want
-            assert sample(arr, [y], [x], mode, "zero")[0] == 0
+            assert sample(arr, [y], [x], mode)[0] == 0
+            inside = [min(max(c, 0.5), n - 0.5) for c, n in ((y, 3), (x, 4))]
+            assert sample(arr, [inside[0]], [inside[1]], mode)[0] == edge
 
     @pytest.mark.parametrize("mode", ["bilinear", "nearest"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -584,25 +550,19 @@ class TestSample:
         xs = np.array([[0.5, 1.5]])
         for sy, sx in ((ys, xs), (xs.T, ys.T)):
             with pytest.raises(ValueError, match="finite"):
-                sample(arr, sy, sx, mode, "clamp")
+                sample(arr, sy, sx, mode)
 
     def test_uint8_rounds_half_up(self):
         arr = np.array([[0, 1]], np.uint8)
-        assert sample(arr, np.array([0.5]), np.array([1.0]), "bilinear", "clamp")[0] == 1
+        assert sample(arr, np.array([0.5]), np.array([1.0]), "bilinear")[0] == 1
 
-    def test_unknown_mode_and_border_rejected(self):
+    def test_unknown_mode_rejected(self):
         arr = np.zeros((2, 2), np.uint8)
         with pytest.raises(ValueError, match="mode"):
-            sample(arr, np.zeros(1), np.zeros(1), "cubic", "clamp")
-        with pytest.raises(ValueError, match="border"):
-            sample(arr, np.zeros(1), np.zeros(1), "nearest", "wrap")
+            sample(arr, np.zeros(1), np.zeros(1), "cubic")
 
 
 class TestManifest:
-    def _records(self, n):
-        return [ManifestRecord("train", f"img{i}.pgm", f"gt{i}.pgm")
-                for i in range(n)]
-
     def test_round_trip_with_empty_fields(self, tmp_path):
         records = [
             ManifestRecord("train", "a.pgm", "b.pgm", ("p1.pgm", "p2.pgm"),
@@ -633,43 +593,6 @@ class TestManifest:
         # only one "\r" goes with the "\n"; another stays in the last field
         path.write_bytes(lf.replace(b"\n", b"\r\r\n"))
         assert [r.fsts for r in read_manifest(path)] == [("\r",), ("f.fst\r",)]
-
-    def test_split_counts_336(self):
-        out = split_manifest(self._records(336), seed=1)
-        tags = [r.split for r in out]
-        assert tags.count("test") == 33
-        assert tags.count("validation") == 67
-        assert tags.count("train") == 236
-
-    def test_split_counts_10(self):
-        out = split_manifest(self._records(10), seed=3)
-        tags = [r.split for r in out]
-        assert (tags.count("train"), tags.count("validation"),
-                tags.count("test")) == (7, 2, 1)
-
-    def test_split_deterministic(self):
-        a = split_manifest(self._records(50), seed=9)
-        b = split_manifest(self._records(50), seed=9)
-        assert a == b
-
-    def test_split_partitions_all_records(self):
-        recs = self._records(41)
-        out = split_manifest(recs, seed=2)
-        assert sorted(r.image for r in out) == sorted(r.image for r in recs)
-        assert all(r.split in imageio.SPLITS for r in out)
-
-    def test_explicit_count_override(self):
-        out = split_manifest(self._records(336), seed=1, counts=(237, 66, 33))
-        tags = [r.split for r in out]
-        assert tags.count("validation") == 66 and tags.count("test") == 33
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            split_manifest([], seed=0)
-
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            split_manifest(self._records(5), ratios=(0.5, 0.2, 0.1))
 
     def test_bad_split_tag_rejected(self):
         with pytest.raises(ValueError, match="split"):

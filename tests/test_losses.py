@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from segens.errors import ShapeMismatchError
-from segens.losses import (MixedLossConfig, TverskyConfig, dice_loss,
-                           dice_soft, focal_tversky_loss, ft_bu_loss, iou_loss,
-                           iou_soft, mean_absolute_error, mixed_loss, msssim,
-                           tversky_index)
+from segens.losses import (MixedLossConfig, TverskyConfig, dice_soft,
+                           focal_tversky_loss, ft_bu_loss, mean_absolute_error,
+                           mixed_loss, msssim, tversky_index)
+from segens.metrics import confusion, dice_from_iou, scalar_metrics
 from segens.morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
 from _oracles import finite_diff_grad
@@ -19,8 +19,6 @@ from _oracles import finite_diff_grad
 class TestOverlapScores:
     def test_perfect_prediction(self):
         p = np.array([1.0, 0.0, 1.0])
-        assert iou_soft(p, p) == 1.0
-        assert iou_loss(p, p) == 0.0
         assert dice_soft(p, p) == 1.0
         assert tversky_index(p, p, 0.7) == 1.0
 
@@ -28,19 +26,13 @@ class TestOverlapScores:
         t = np.array([1.0, 1.0, 0.0, 0.0])
         p = np.array([0.0, 0.0, 1.0, 1.0])
         smooth = 1e-6
-        assert math.isclose(iou_soft(t, p, smooth), smooth / (4 + smooth))
-
-    def test_iou_direct_case(self):
-        # TP=0.8, FP=0.2, FN=0.2 -> 0.8/1.2
-        t = np.array([1.0, 0.0])
-        p = np.array([0.8, 0.2])
-        assert abs(iou_soft(t, p) - 0.8 / 1.2) < 1e-5
+        # TP = 0, FN = FP = 2: Dice's denominator is (FN + FP) / 2
+        assert math.isclose(dice_soft(t, p, smooth), smooth / (2 + smooth))
 
     def test_dice_direct_case(self):
         t = np.array([1.0, 0.0])
         p = np.array([0.8, 0.2])
         assert abs(dice_soft(t, p) - 0.8) < 1e-5
-        assert abs(dice_loss(t, p) - 0.2) < 1e-5
 
     def test_dice_iou_relation_on_hard_masks(self):
         rng = np.random.default_rng(31)
@@ -49,9 +41,9 @@ class TestOverlapScores:
             p = (rng.random(40) > 0.5).astype(float)
             if not (t.any() or p.any()):
                 continue
-            iou = iou_soft(t, p, smooth=1e-12)
+            iou = scalar_metrics(confusion(t[None], p[None]))["iou"]
             dice = dice_soft(t, p, smooth=1e-12)
-            assert abs(dice - 2 * iou / (1 + iou)) < 1e-9
+            assert abs(dice - dice_from_iou(iou)) < 1e-9
 
     def test_tversky_direct_case(self):
         t = np.array([1.0, 0.0])
@@ -68,7 +60,7 @@ class TestOverlapScores:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            iou_soft(np.zeros(3), np.zeros(4))
+            dice_soft(np.zeros(3), np.zeros(4))
 
 
 class TestFocalTversky:
@@ -247,14 +239,6 @@ class TestMsSsimAndMixed:
         cfg = MixedLossConfig(scales=3)
         assert msssim(a, a, cfg) == 1.0
         assert mixed_loss(a, a, cfg) == 0.0
-
-    def test_pure_mae_mode(self):
-        rng = np.random.default_rng(38)
-        a = rng.random((48, 48))
-        b = rng.random((48, 48))
-        cfg = MixedLossConfig(similarity_weight=0.0, mae_weight=1.0, scales=2)
-        assert math.isclose(mixed_loss(a, b, cfg), float(np.abs(a - b).mean()),
-                            rel_tol=1e-12)
 
     def test_constant_zero_vs_one(self):
         a = np.zeros((64, 64))

@@ -11,14 +11,13 @@ import pytest
 from segens.augment import mirror
 from segens.ensemble import fuse_and, fuse_max, train_metalearner
 from segens.errors import NumericError, ShapeMismatchError
-from segens.imageio import (resize, store_feature_stack, store_gray,
-                            store_mask, store_probmap)
+from segens.imageio import (store_feature_stack, store_gray, store_mask,
+                            store_probmap)
 from segens.losses import mean_absolute_error
 from segens.metrics import (ConfusionCounts, Curve, auroc, confusion,
                             default_threshold_grid, dice_from_iou,
-                            evaluate_pairs, map11, mask_level_match,
-                            pr_roc_curves, scalar_metrics, undefined_metrics,
-                            write_curve_csv)
+                            evaluate_pairs, map11, pr_roc_curves,
+                            scalar_metrics, undefined_metrics, write_curve_csv)
 from segens.morpho import boundary_soft_labels, dilate
 from segens.ndtensor import ConvKernel, conv2d_forward
 
@@ -263,43 +262,51 @@ class TestMap11:
 
 
 class TestMaskLevelMatch:
+    """The report's whole-mask outcome per image and its tally."""
+
+    @staticmethod
+    def _match(pred, gt):
+        report, _ = evaluate_pairs([np.asarray(pred, np.float64)], [gt])
+        tally = dict(report.mask_level)
+        assert tally.pop("iou_threshold") == 0.5
+        return report.per_image[0]["mask_match"], ConfusionCounts(**tally)
+
     def test_identical_nonempty_is_tp(self):
         m = np.zeros((4, 4), np.uint8)
         m[1:3, 1:3] = 1
-        assert mask_level_match(m, m) == ConfusionCounts(1, 0, 0, 0)
+        assert self._match(m, m) == ("TP", ConfusionCounts(1, 0, 0, 0))
 
     def test_empty_prediction_is_fn(self):
         gt = np.ones((3, 3), np.uint8)
-        assert mask_level_match(np.zeros((3, 3), np.uint8), gt) == \
-            ConfusionCounts(0, 0, 1, 0)
+        assert self._match(np.zeros((3, 3), np.uint8), gt) == \
+            ("FN", ConfusionCounts(0, 0, 1, 0))
 
     def test_empty_gt_is_fp(self):
         pred = np.ones((3, 3), np.uint8)
-        assert mask_level_match(pred, np.zeros((3, 3), np.uint8)) == \
-            ConfusionCounts(0, 1, 0, 0)
+        assert self._match(pred, np.zeros((3, 3), np.uint8)) == \
+            ("FP", ConfusionCounts(0, 1, 0, 0))
 
     def test_both_empty_is_tn(self):
         z = np.zeros((3, 3), np.uint8)
-        assert mask_level_match(z, z) == ConfusionCounts(0, 0, 0, 1)
+        assert self._match(z, z) == ("TN", ConfusionCounts(0, 0, 0, 1))
 
     def test_iou_exactly_half_is_not_tp(self):
         gt = np.zeros((4, 4), np.uint8)
         gt[0, 0] = gt[0, 1] = 1
         pred = np.zeros((4, 4), np.uint8)
         pred[0, 0] = 1  # intersection 1, union 2 -> IoU exactly 0.5
-        assert mask_level_match(pred, gt) == ConfusionCounts(0, 1, 1, 0)
+        assert self._match(pred, gt) == ("FP+FN", ConfusionCounts(0, 1, 1, 0))
 
     def test_above_threshold_is_tp(self):
         gt = np.zeros((4, 4), np.uint8)
         gt[0:2, 0:2] = 1
         pred = gt.copy()
         pred[0, 0] = 0  # IoU 3/4
-        assert mask_level_match(pred, gt) == ConfusionCounts(1, 0, 0, 0)
-
+        assert self._match(pred, gt) == ("TP", ConfusionCounts(1, 0, 0, 0))
 
     def test_agrees_with_classification_from_confusion(self):
         rng = np.random.default_rng(236)
-        labels = set()
+        preds, gts, labels = [], [], []
         half = 0
         for _ in range(2000):
             shape = tuple(rng.integers(1, 4, 2))
@@ -308,19 +315,26 @@ class TestMaskLevelMatch:
             c = confusion(pred, gt)
             union = c.tp + c.fp + c.fn
             if union == 0:
-                want = ConfusionCounts(0, 0, 0, 1)
+                want = "TN"
             elif c.tp + c.fn == 0:
-                want = ConfusionCounts(0, 1, 0, 0)
+                want = "FP"
             elif c.tp + c.fp == 0:
-                want = ConfusionCounts(0, 0, 1, 0)
+                want = "FN"
             elif 2 * c.tp > union:
-                want = ConfusionCounts(1, 0, 0, 0)
+                want = "TP"
             else:
-                want = ConfusionCounts(0, 1, 1, 0)
+                want = "FP+FN"
             half += c.tp > 0 and 2 * c.tp == union
-            labels.add(want)
-            assert mask_level_match(pred, gt) == want
-        assert len(labels) == 5 and half > 0
+            preds.append(pred.astype(np.float64))
+            gts.append(gt)
+            labels.append(want)
+        report, _ = evaluate_pairs(preds, gts)
+        assert [r["mask_match"] for r in report.per_image] == labels
+        assert report.mask_level == {
+            "tp": labels.count("TP"), "fp": labels.count("FP") + labels.count("FP+FN"),
+            "fn": labels.count("FN") + labels.count("FP+FN"), "tn": labels.count("TN"),
+            "iou_threshold": 0.5}
+        assert len(set(labels)) == 5 and half > 0
 
 
 class TestEvaluatePairs:
@@ -340,21 +354,20 @@ class TestEvaluatePairs:
         assert report.iou == 1.0
 
     def test_report_json_bytes_pinned(self):
-        # the bytes to_json() wrote when to_dict listed each key by hand;
-        # it now takes the keys from the fields, in field order
+        # to_dict takes the keys from the fields, in field order; the pinned
+        # bytes are the report over the default 101-point grid
         preds = [np.array([[0.9, 0.2], [0.6, 0.4]]),
                  np.array([[0.1, 0.7], [0.3, 0.8]]), np.zeros((2, 2))]
         gts = [np.array([[1, 0], [1, 0]]), np.array([[0, 1], [1, 1]]),
                np.zeros((2, 2), np.uint8)]
-        report, _ = evaluate_pairs(preds, gts,
-                                   curve_thresholds=[0.0, 0.25, 0.5, 0.75, 1.0])
+        report, _ = evaluate_pairs(preds, gts)
         assert list(report.to_dict()) == [
             "iou", "dice", "precision", "recall", "map11", "auroc", "ci",
             "threshold", "image_count", "counts", "macro", "mask_level",
             "map11_rule", "zero_division", "per_image"]
         assert list(report.to_dict()["counts"]) == ["tp", "fp", "fn", "tn"]
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
-            "9b429ef5b07d6e8c3a43db0ace051e166bc26b110abcb411645c3c8282eea497")
+            "1de8e05c594bd6f2dc1db3542bb1bf821fcc82b0d03ac8df9e188daba68eb555")
 
     def test_report_contract_keys(self):
         preds, gts = self._fixture()
@@ -402,10 +415,10 @@ class TestEvaluatePairs:
 class TestStoredDtype:
     """A float32 map is scored in float32, against cuts rounded exactly."""
 
-    CUSTOM = [0.0, 0.2, 0.3, 0.7, 1 / 3, 0.999, 1.0]
+    THRESHOLDS = [0.0, 0.2, 0.3, 0.7, 1 / 3, 0.999, 1.0]
 
     @staticmethod
-    def _edge_maps(thresholds, seed=61, n=3, size=16):
+    def _edge_maps(thresholds, seed=61, n=3, size=32):
         # every pixel is float32(t) or one of its float32 neighbours
         f = np.float32(thresholds)
         values = np.unique(np.concatenate(
@@ -418,24 +431,21 @@ class TestStoredDtype:
     def test_thresholds_round_both_ways(self):
         # the cases the cut must handle: float32(t) below t and above t
         grid = default_threshold_grid()
-        for ts in (grid, np.array(self.CUSTOM)):
+        for ts in (grid, np.array(self.THRESHOLDS)):
             f = np.float32(ts).astype(np.float64)
             assert (f < ts).any() and (f > ts).any()
 
-    @pytest.mark.parametrize("threshold, curve_thresholds",
-                             [(0.7, None), (0.2, CUSTOM), (0.3, CUSTOM)])
-    def test_float32_scores_equal_float64_scores(self, threshold,
-                                                 curve_thresholds):
-        ts = default_threshold_grid() if curve_thresholds is None else curve_thresholds
-        preds, gts = self._edge_maps(np.append(ts, threshold))
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_float32_scores_equal_float64_scores(self, threshold):
+        # the maps hold the neighbours of the default grid's cuts, for the
+        # curves, and of the threshold's, for the hard counts
+        preds, gts = self._edge_maps(np.append(default_threshold_grid(), threshold))
         assert all(p.dtype == np.float32 for p in preds)
         wide = [p.astype(np.float64) for p in preds]
-        got, got_curve = evaluate_pairs(preds, gts, threshold=threshold,
-                                        curve_thresholds=curve_thresholds)
-        want, want_curve = evaluate_pairs(wide, gts, threshold=threshold,
-                                          curve_thresholds=curve_thresholds)
+        got, got_curve = evaluate_pairs(preds, gts, threshold=threshold)
+        want, want_curve = evaluate_pairs(wide, gts, threshold=threshold)
         assert got.to_dict() == want.to_dict()
-        curve = pr_roc_curves(preds, gts, thresholds=curve_thresholds)
+        curve = pr_roc_curves(preds, gts)
         for name in ("thresholds", "precision", "recall", "tpr", "fpr"):
             assert np.array_equal(getattr(got_curve, name), getattr(want_curve, name))
             assert np.array_equal(getattr(curve, name), getattr(want_curve, name))
@@ -527,7 +537,6 @@ class TestOneCheckPerContract:
     }
     IMAGE_ENTRY_POINTS = {
         "store_gray": lambda a, tmp: store_gray(a, tmp / "g.pgm"),
-        "resize": lambda a, tmp: resize(a, (4, 4)),
         "dilate": lambda a, tmp: dilate(a),
         "mean_absolute_error": lambda a, tmp: mean_absolute_error(a, a),
         "mirror": lambda a, tmp: mirror(a, a),
