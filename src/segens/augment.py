@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_int, check_range
+from .errors import check_int, check_range, check_shape, require_2d
 from .imageio import (ManifestRecord, load_gray, load_mask, sample, store_gray,
                       store_mask)
-from .metrics import require_2d
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,7 @@ class AugmentConfig:
 def _check_pair(image, mask):
     img = require_2d(image, "image")
     msk = require_2d(mask, "mask")
-    if img.shape != msk.shape:
-        raise ShapeMismatchError(
-            f"image shape {img.shape} != mask shape {msk.shape}")
+    check_shape(img.shape, "image", msk.shape, "mask")
     return img, msk
 
 
@@ -127,14 +124,16 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
     # defective source met first is the one output-index order meets first.
     rank = {src: i for i, src in enumerate(dict.fromkeys(d[0] for d in draws))}
     order = sorted(range(config.count), key=lambda k: rank[draws[k][0]])
+    for src_idx in rank:  # all checked before any file is read
+        train[src_idx].require("image", "image")
+        train[src_idx].require("gtmask", "ground-truth mask")
     added = [None] * config.count
     for src_idx, group in groupby(order, key=lambda k: draws[k][0]):
         rec = train[src_idx]
         src_img = load_gray(rec.image)
         src_msk = load_mask(rec.gtmask)
-        if src_img.shape != src_msk.shape:
-            raise ShapeMismatchError(f"{rec.image}: image shape {src_img.shape} "
-                                     f"!= mask shape {src_msk.shape}")
+        check_shape(src_img.shape, f"image {rec.image}",
+                    src_msk.shape, f"mask {rec.gtmask}")
         for k in group:
             _, mirrored, angle, factor = draws[k]
             img, msk = (mirror(src_img, src_msk) if mirrored

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import augment as augment_mod
 from . import ensemble, imageio, metrics, stats
-from .errors import DecodeError, NumericError, ShapeMismatchError, check_range
+from .errors import (DecodeError, NumericError, ShapeMismatchError, check_range,
+                     check_shape)
 from .losses import TverskyConfig
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
@@ -167,11 +168,8 @@ def _load_eval_inputs(args):
         pred_paths = []
         gt_paths = []
         for r in records:
-            if not r.preds:
-                raise ValueError(f"record {r.image or r.gtmask!r} in split "
-                                 f"{args.split!r} has no prediction path")
-            pred_paths.append(r.preds[0])
-            gt_paths.append(r.gtmask)
+            pred_paths.append(r.require("preds", "prediction")[0])
+            gt_paths.append(r.require("gtmask", "ground-truth mask"))
     else:
         if not args.pred or not args.gt:
             raise _UsageError("eval needs either --manifest or both --pred and --gt")
@@ -233,12 +231,10 @@ def _record_stack(record):
         raise ValueError(
             f"record {record.image or record.gtmask!r} has neither feature "
             "stacks nor prediction maps")
-    spatial = parts[0].shape[1:]
-    for part in parts[1:]:
-        if part.shape[1:] != spatial:
-            raise ShapeMismatchError(
-                f"record {record.image or record.gtmask!r}: stacked inputs "
-                f"disagree on spatial dims ({part.shape[1:]} vs {spatial})")
+    for i, part in enumerate(parts[1:], start=1):
+        check_shape(part.shape[1:],
+                    f"record {record.image or record.gtmask!r} stacked input {i}",
+                    parts[0].shape[1:], "stacked input 0")
     return np.concatenate(parts, axis=0).astype(np.float32), mode
 
 
@@ -248,6 +244,8 @@ def _cmd_stack_train(args):
     val_recs = [r for r in records if r.split == args.val_split]
     if not train_recs:
         raise ValueError(f"manifest has no records in split {args.train_split!r}")
+    for r in train_recs + val_recs:  # all checked before any file is read
+        r.require("gtmask", "ground-truth mask")
 
     modes = set()
 

@@ -28,12 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DecodeError, NumericError, ShapeMismatchError, check_int,
-                     check_range)
+from .errors import (DecodeError, NumericError, ShapeMismatchError,
+                     check_int, check_probabilities, check_range, check_shape,
+                     require_2d, require_chw)
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
-from .metrics import (_at_least, check_probabilities, confusion, require_2d,
-                      require_chw, scalar_metrics)
+from .metrics import _at_least, confusion, scalar_metrics
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, _backward, _check_channels,
                        _correlate, _out_dtype, _param_grads, adam_step,
@@ -51,9 +51,8 @@ def _image_list(masks):
     out = []
     for idx, m in enumerate(masks):
         arr = require_2d(m, f"mask {idx}")
-        if out and arr.shape != out[0].shape:
-            raise ShapeMismatchError(
-                f"mask {idx} shape {arr.shape} != mask 0 shape {out[0].shape}")
+        if out:
+            check_shape(arr.shape, f"mask {idx}", out[0].shape, "mask 0")
         out.append(arr)
     if len(out) < 2:
         raise ValueError(f"fusion needs at least 2 inputs, got {len(out)}")
@@ -289,10 +288,8 @@ def _prepare_pairs(pairs, boundary, what, channels):
                 f"{what} sample {idx} has {arr.shape[0]} channels but the model "
                 f"expects {channels}")
         gt = np.asarray(gt)
-        if gt.shape != arr.shape[1:]:
-            raise ShapeMismatchError(
-                f"{what} sample {idx}: mask shape {gt.shape} != stack spatial "
-                f"dims {arr.shape[1:]}")
+        check_shape(gt.shape, f"{what} sample {idx} mask",
+                    arr.shape[1:], "its stack's spatial")
         out.append((arr, gt, boundary_soft_labels(gt, boundary).astype(np.float32)))
     return out
 

@@ -1,12 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and one check per argument
+contract: a real range, an integer, two shapes that must agree, an
+array's rank, a {0, 1} mask and a probability map.
 
-The CLI maps these onto stable exit codes: decode/IO problems exit 2,
-shape mismatches exit 3, numeric failures exit 4, and plain validation
-errors (``ValueError``) exit 1.
+The CLI maps the exceptions onto stable exit codes: decode/IO problems
+exit 2, shape mismatches exit 3, numeric failures exit 4, and plain
+validation errors (``ValueError``) exit 1.
 """
 
 import math
 import operator
+
+import numpy as np
 
 
 class ShapeMismatchError(ValueError):
@@ -62,3 +66,49 @@ def check_int(x, name, lo=-math.inf, hi=math.inf):
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
     return check_range(x, name, lo, hi)
+
+
+def check_shape(a, a_name, b, b_name):
+    """ShapeMismatchError unless the shapes ``a`` and ``b`` are equal."""
+    if a != b:
+        raise ShapeMismatchError(f"{a_name} shape {a} != {b_name} shape {b}")
+
+
+def require_2d(x, name):
+    """``x`` as an array; ShapeMismatchError unless it is 2-D."""
+    arr = np.asarray(x)
+    if arr.ndim != 2:
+        raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    return arr
+
+
+def require_chw(x, name):
+    """``x`` as an array; ShapeMismatchError unless it is 3-D (C, H, W)."""
+    arr = np.asarray(x)
+    if arr.ndim != 3:
+        raise ShapeMismatchError(
+            f"{name} must be (channels, height, width), got shape {arr.shape}")
+    return arr
+
+
+def as_binary(x, name):
+    """A 2-D mask of any dtype as bool. ShapeMismatchError unless it is
+    2-D, ValueError unless every value is 0 or 1."""
+    arr = require_2d(x, name)
+    mask = arr.astype(bool)
+    if not np.array_equal(arr, mask):  # equal only where every value is 0 or 1
+        raise ValueError(f"{name} must contain only 0/1 values (each pixel 0 or 1)")
+    return mask
+
+
+def check_probabilities(p, name, top=1):
+    """Raise unless every value of ``p`` is a finite number in [0, top].
+
+    Non-finite values raise NumericError, finite ones outside [0, top]
+    ValueError. min and max propagate NaN, so they cover both checks.
+    """
+    lo, hi = float(np.min(p)), float(np.max(p))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericError(f"{name} contains non-finite values")
+    if lo < 0.0 or hi > top:
+        raise ValueError(f"{name} has values outside [0, {top}]")

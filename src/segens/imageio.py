@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, NumericError
-from .metrics import as_binary, check_probabilities, require_2d, require_chw
+from .errors import (DecodeError, NumericError, as_binary, check_probabilities,
+                     require_2d, require_chw)
 
 SPLITS = ("train", "validation", "test")
 
@@ -538,6 +538,16 @@ class ManifestRecord:
         object.__setattr__(self, "preds", tuple(self.preds))
         object.__setattr__(self, "fsts", tuple(self.fsts))
 
+    def require(self, field, what):
+        """The record's ``field``, unless it is empty: then ValueError naming
+        the record and the missing ``what``. An empty path would read ".",
+        the working directory."""
+        value = getattr(self, field)
+        if not value:
+            raise ValueError(f"record {self.image or self.gtmask!r} in split "
+                             f"{self.split!r} has no {what} path")
+        return value
+
 
 def read_manifest(path):
     try:
@@ -558,10 +568,13 @@ def read_manifest(path):
                              f"got {len(fields)}")
         fields += [""] * (5 - len(fields))
         split, image, gtmask, preds, fsts = fields
-        records.append(ManifestRecord(
-            split=split, image=image, gtmask=gtmask,
-            preds=tuple(p for p in preds.split(",") if p),
-            fsts=tuple(f for f in fsts.split(",") if f)))
+        try:
+            records.append(ManifestRecord(
+                split=split, image=image, gtmask=gtmask,
+                preds=tuple(p for p in preds.split(",") if p),
+                fsts=tuple(f for f in fsts.split(",") if f)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 

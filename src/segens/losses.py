@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, check_int, check_range
-from .metrics import require_2d
+from .errors import check_int, check_range, check_shape, require_2d
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 
 _SCALE_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -64,9 +63,7 @@ class MixedLossConfig:
 def _soft_counts(target, prediction):
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(prediction, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ShapeMismatchError(
-            f"target shape {t.shape} != prediction shape {p.shape}")
+    check_shape(t.shape, "target", p.shape, "prediction")
     tp = float((t * p).sum())
     fn = float((t * (1.0 - p)).sum())
     fp = float(((1.0 - t) * p).sum())
@@ -123,11 +120,13 @@ def ft_bu_loss(mask, prediction, tversky=None, boundary=None):
 # ---------------------------------------------------------------------------
 # MS-SSIM and the mixed loss
 
-def _as_unit_image(x, name):
-    arr = require_2d(x, name)
-    if arr.dtype == np.uint8:
-        return arr.astype(np.float64) / 255.0
-    return arr.astype(np.float64)
+def _unit_pair(a, b):
+    """Two 2-D images of one shape as float64 in [0, 1]: uint8 scaled by
+    1/255, any other dtype as it is."""
+    x, y = require_2d(a, "a"), require_2d(b, "b")
+    check_shape(x.shape, "a", y.shape, "b")
+    return tuple(v.astype(np.float64) / 255.0 if v.dtype == np.uint8
+                 else v.astype(np.float64) for v in (x, y))
 
 
 def _filter_valid(img):
@@ -153,20 +152,14 @@ def _halve(img):
 
 
 def mean_absolute_error(a, b):
-    x = _as_unit_image(a, "a")
-    y = _as_unit_image(b, "b")
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"image shapes differ: {x.shape} vs {y.shape}")
+    x, y = _unit_pair(a, b)
     return float(np.abs(x - y).mean())
 
 
 def msssim(a, b, config=None):
     """Multi-scale structural similarity in [0, 1]; 1.0 iff identical."""
     cfg = config or MixedLossConfig()
-    x = _as_unit_image(a, "a")
-    y = _as_unit_image(b, "b")
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"image shapes differ: {x.shape} vs {y.shape}")
+    x, y = _unit_pair(a, b)
     min_size = _WINDOW.size * 2 ** (cfg.scales - 1)
     if min(x.shape) < min_size:
         raise ValueError(

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stats
-from .errors import NumericError, ShapeMismatchError, check_int, check_range
+from .errors import (as_binary, check_int, check_probabilities, check_range,
+                     check_shape)
 
 _METRIC_NAMES = ("iou", "dice", "precision", "recall")
 
@@ -59,52 +60,11 @@ class ConfusionCounts:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
 
 
-def require_2d(x, name):
-    """``x`` as an array; ShapeMismatchError unless it is 2-D."""
-    arr = np.asarray(x)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    return arr
-
-
-def require_chw(x, name):
-    """``x`` as an array; ShapeMismatchError unless it is 3-D (C, H, W)."""
-    arr = np.asarray(x)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(
-            f"{name} must be (channels, height, width), got shape {arr.shape}")
-    return arr
-
-
-def as_binary(x, name):
-    """A 2-D mask of any dtype as bool. ShapeMismatchError unless it is
-    2-D, ValueError unless every value is 0 or 1."""
-    arr = require_2d(x, name)
-    mask = arr.astype(bool)
-    if not np.array_equal(arr, mask):  # equal only where every value is 0 or 1
-        raise ValueError(f"{name} must contain only 0/1 values (each pixel 0 or 1)")
-    return mask
-
-
-def check_probabilities(p, name, top=1):
-    """Raise unless every value of ``p`` is a finite number in [0, top].
-
-    Non-finite values raise NumericError, finite ones outside [0, top]
-    ValueError. min and max propagate NaN, so they cover both checks.
-    """
-    lo, hi = float(np.min(p)), float(np.max(p))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NumericError(f"{name} contains non-finite values")
-    if lo < 0.0 or hi > top:
-        raise ValueError(f"{name} has values outside [0, {top}]")
-
-
 def confusion(pred, gt):
     """Exact pixel tallies of a predicted mask against the ground truth."""
     p = as_binary(pred, "pred")
     g = as_binary(gt, "gt")
-    if p.shape != g.shape:
-        raise ShapeMismatchError(f"pred shape {p.shape} != gt shape {g.shape}")
+    check_shape(p.shape, "pred", g.shape, "gt")
     return _counts(p, g)
 
 
@@ -212,9 +172,7 @@ def _checked_pairs(predictions, ground_truths):
             p = p.astype(np.float64)
         check_probabilities(p, f"prediction {idx}")
         gb = as_binary(g, f"ground truth {idx}")
-        if p.shape != gb.shape:
-            raise ShapeMismatchError(
-                f"image {idx}: prediction shape {p.shape} != mask shape {gb.shape}")
+        check_shape(p.shape, f"prediction {idx}", gb.shape, f"ground truth {idx}")
         yield p, gb
         count += 1
     if next(gts, _END) is not _END:

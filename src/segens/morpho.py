@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int
-from .metrics import as_binary, require_2d
+from .errors import as_binary, check_int, require_2d
 
 
 def _morph(x, iterations, reduce):

@@ -52,8 +52,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NumericError, ShapeMismatchError, check_range
-from .metrics import require_chw
+from .errors import (NumericError, ShapeMismatchError, check_range, check_shape,
+                     require_chw)
 
 
 # Largest C*kh*kw whose taps share one stacked GEMM (see _tap_groups).
@@ -90,10 +90,7 @@ class ConvKernel:
         out_ch, _, kh, kw = w.shape
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError(f"kernel dims must be odd for same-padding, got {kh}x{kw}")
-        if b.shape != (out_ch,):
-            raise ShapeMismatchError(
-                f"bias must have shape ({out_ch},), got {b.shape}"
-            )
+        check_shape(b.shape, "bias", (out_ch,), "weights' out-channel")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise NumericError("kernel contains non-finite values")
         object.__setattr__(self, "weights", w)
@@ -265,10 +262,8 @@ def conv2d_backward(x, kernel, grad_out):
     """
     x = _check_channels(x, kernel)
     g = require_chw(grad_out, "grad_out")
-    want = (kernel.out_channels,) + x.shape[1:]
-    if g.shape != want:
-        raise ShapeMismatchError(
-            f"grad_out shape {g.shape} does not match output shape {want}")
+    check_shape(g.shape, "grad_out", (kernel.out_channels,) + x.shape[1:],
+                "output")
     # _backward's two consumers of grad_out, one after the other
     grad_in = _correlate_whole(g, *_flipped(x, kernel.weights))
     grads = []
@@ -396,10 +391,7 @@ def adam_step(params, grads, state):
     for idx, (p, g) in enumerate(zip(params, grads)):
         p = np.asarray(p)
         g64 = np.asarray(g, dtype=np.float64)
-        if g64.shape != p.shape:
-            raise ShapeMismatchError(
-                f"parameter {idx}: grad shape {g64.shape} != param shape {p.shape}"
-            )
+        check_shape(g64.shape, f"grad {idx}", p.shape, f"parameter {idx}")
         if not np.isfinite(g64).all():
             bad = tuple(int(i) for i in np.argwhere(~np.isfinite(g64))[0])
             raise NumericError(

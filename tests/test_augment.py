@@ -253,8 +253,8 @@ class TestAugmentDataset:
         out_a = augment_dataset(records, config, tmp_path / "a")
         out_b = augment_dataset(records, config, tmp_path / "b")
         for ra, rb in zip(out_a[len(records):], out_b[len(records):]):
-            assert open(ra.image, "rb").read() == open(rb.image, "rb").read()
-            assert open(ra.gtmask, "rb").read() == open(rb.gtmask, "rb").read()
+            assert Path(ra.image).read_bytes() == Path(rb.image).read_bytes()
+            assert Path(ra.gtmask).read_bytes() == Path(rb.gtmask).read_bytes()
 
     def test_no_train_records_rejected(self, tmp_path):
         records = [ManifestRecord("test", "a.pgm", "b.pgm")]

@@ -333,6 +333,26 @@ class TestAugmentCommand:
                      "--zoom-min", "1e-307", "--zoom-max", "1e-307"]) == 1
         assert not (tmp_path / "aug").exists()
 
+    @pytest.mark.parametrize("field, what", [("image", "image"),
+                                             ("gtmask", "ground-truth mask")])
+    def test_source_without_a_path_is_one(self, tmp_path, rng, capsys, field,
+                                          what):
+        # an empty field read "." and exited 2 ("Is a directory"); the
+        # other source's missing mask shows nothing was read
+        mpath = self._manifest(tmp_path, rng)
+        records = imageio.read_manifest(mpath)
+        Path(records[0].gtmask).unlink()
+        imageio.write_manifest([records[0], replace(records[1], **{field: ""})],
+                               mpath)
+        name = records[1].gtmask if field == "image" else records[1].image
+        assert main(["augment", "--manifest", str(mpath),
+                     "--outdir", str(tmp_path / "aug"),
+                     "--out-manifest", str(tmp_path / "out.tsv"),
+                     "--count", "12"]) == 1
+        assert (f"record {name!r} in split 'train' has no {what} path"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "aug").exists()
+
     def test_same_seed_identical_trees(self, tmp_path, rng):
         mpath = self._manifest(tmp_path, rng)
         for tag in ("x", "y"):
@@ -638,7 +658,8 @@ class TestExitCodes:
                                mpath)
         assert main(["stack", "train", "--manifest", str(mpath),
                      "--params", str(tmp_path / "p.json")]) == 3
-        assert "disagree on spatial dims" in capsys.readouterr().err
+        assert ("record 'img0.pgm' stacked input 1 shape (4, 4) != stacked "
+                "input 0 shape (12, 12)") in capsys.readouterr().err
 
     def test_predict_on_an_empty_split_is_one(self, tmp_path, rng, capsys):
         mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
@@ -667,6 +688,35 @@ class TestExitCodes:
         mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
         assert main(["eval", "--manifest", str(mpath), "--split", "train"]) == 1
         assert "has no prediction path" in capsys.readouterr().err
+
+    def test_manifest_record_without_mask_is_one(self, tmp_path, rng, capsys):
+        # an empty gtmask field read "." and exited 2 ("Is a directory");
+        # the first record's missing prediction shows nothing was read
+        pred_paths, gt_paths = make_eval_fixture(tmp_path, rng, n=2)
+        mpath = tmp_path / "m.tsv"
+        imageio.write_manifest([
+            imageio.ManifestRecord("test", "a.pgm", gt_paths[0],
+                                   (str(tmp_path / "missing.pgm"),)),
+            imageio.ManifestRecord("test", "b.pgm", "", (pred_paths[1],))], mpath)
+        assert main(["eval", "--manifest", str(mpath)]) == 1
+        assert ("record 'b.pgm' in split 'test' has no ground-truth mask path"
+                in capsys.readouterr().err)
+
+    def test_stack_train_record_without_mask_is_one(self, tmp_path, rng,
+                                                    capsys):
+        # as for eval; here the validation record is the one without a mask,
+        # and a train record's missing stack shows nothing was read
+        mpath = make_stack_manifest(tmp_path, rng, n_train=2, n_val=1)
+        records = imageio.read_manifest(mpath)
+        Path(records[0].fsts[0]).unlink()
+        imageio.write_manifest(records[:2] + [replace(records[2], gtmask="")],
+                               mpath)
+        params = tmp_path / "p.json"
+        assert main(["stack", "train", "--manifest", str(mpath),
+                     "--params", str(params)]) == 1
+        assert ("record 'img2.pgm' in split 'validation' has no ground-truth "
+                "mask path" in capsys.readouterr().err)
+        assert not params.exists()
 
     def test_shape_mismatch_is_three(self, tmp_path, rng):
         a = tmp_path / "a.pgm"

@@ -1,6 +1,7 @@
 """Round trips, decode errors, resampling, and manifests."""
 
 import math
+import re
 import struct
 import tracemalloc
 import zlib
@@ -593,6 +594,15 @@ class TestManifest:
         # only one "\r" goes with the "\n"; another stays in the last field
         path.write_bytes(lf.replace(b"\n", b"\r\r\n"))
         assert [r.fsts for r in read_manifest(path)] == [("\r",), ("f.fst\r",)]
+
+    def test_bad_split_names_the_file_and_line(self, tmp_path):
+        # the message named neither, unlike a line with too many fields
+        path = tmp_path / "m.tsv"
+        path.write_text("train\ta.pgm\tb.pgm\ntset\tc.pgm\td.pgm\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: split must be one of ('train', 'validation', "
+                "'test'), got 'tset'")):
+            read_manifest(path)
 
     def test_bad_split_tag_rejected(self):
         with pytest.raises(ValueError, match="split"):
