@@ -126,9 +126,6 @@ class MetaLearnerParams:
     def in_channels(self):
         return self.layers[0].in_channels
 
-    def parameter_count(self):
-        return sum(k.weights.size + k.bias.size for k in self.layers)
-
     def parameter_arrays(self):
         """Flat parameter list (w0, b0, w1, b1, ...) for the optimizer."""
         return [a for k in self.layers for a in (k.weights, k.bias)]
@@ -326,11 +323,11 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
     best_arrays = arrays
     stale = 0
     n = len(train)
+    current = params  # rebuilt from ``arrays`` after each step
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(n)
         sample_losses = []
         sample_dices = []
-        current = MetaLearnerParams.from_arrays(arrays, seed=params.seed)
         for batch_no, start in enumerate(range(0, n, hyper.batch_size)):
             batch = order[start:start + hyper.batch_size]
             acc = [np.zeros(a.shape, dtype=np.float64) for a in arrays]

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and one check per argument
 contract: a real range, an integer, two shapes that must agree, an
-array's rank, a {0, 1} mask and a probability map.
+array's rank with no 0-length dim, a {0, 1} mask and a probability map.
 
 The CLI maps the exceptions onto stable exit codes: decode/IO problems
 exit 2, shape mismatches exit 3, numeric failures exit 4, and plain
@@ -74,21 +74,26 @@ def check_shape(a, a_name, b, b_name):
         raise ShapeMismatchError(f"{a_name} shape {a} != {b_name} shape {b}")
 
 
-def require_2d(x, name):
-    """``x`` as an array; ShapeMismatchError unless it is 2-D."""
+def _require_rank(x, name, ndim, form):
+    """``x`` as an array; ShapeMismatchError unless it has ``ndim`` dims
+    and none of them is 0-length. The last two dims are the spatial ones."""
     arr = np.asarray(x)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ShapeMismatchError(f"{name} must be {form}, got shape {arr.shape}")
+    if 0 in arr.shape:
+        dim = "spatial" if 0 in arr.shape[-2:] else "channel"
+        raise ShapeMismatchError(f"{name} has an empty {dim} dim, shape {arr.shape}")
     return arr
+
+
+def require_2d(x, name):
+    """``x`` as a non-empty 2-D array, else ShapeMismatchError."""
+    return _require_rank(x, name, 2, "2-D")
 
 
 def require_chw(x, name):
-    """``x`` as an array; ShapeMismatchError unless it is 3-D (C, H, W)."""
-    arr = np.asarray(x)
-    if arr.ndim != 3:
-        raise ShapeMismatchError(
-            f"{name} must be (channels, height, width), got shape {arr.shape}")
-    return arr
+    """``x`` as a non-empty 3-D (C, H, W) array, else ShapeMismatchError."""
+    return _require_rank(x, name, 3, "(channels, height, width)")
 
 
 def as_binary(x, name):
@@ -102,11 +107,14 @@ def as_binary(x, name):
 
 
 def check_probabilities(p, name, top=1):
-    """Raise unless every value of ``p`` is a finite number in [0, top].
+    """Raise unless ``p`` is a non-empty array of finite numbers in [0, top].
 
-    Non-finite values raise NumericError, finite ones outside [0, top]
-    ValueError. min and max propagate NaN, so they cover both checks.
+    An empty array raises ShapeMismatchError, non-finite values
+    NumericError, finite ones outside [0, top] ValueError. min and max
+    propagate NaN, so they cover both value checks.
     """
+    if p.size == 0:
+        raise ShapeMismatchError(f"{name} is empty, shape {p.shape}")
     lo, hi = float(np.min(p)), float(np.max(p))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite values")

@@ -7,12 +7,15 @@ Scalar metrics derive from hard confusion counts:
 
 0/0 cases return 0 by convention and are flagged in the report.
 Curves pool pixels across the whole image set (micro-averaging); at each
-threshold t the prediction is binarized as p >= t. A float32 map is
-compared in float32, against the least float32 at or above t, so every
-count equals the one its float64 copy would give. The 11-point mAP is
-the mean over recall levels {0.0, 0.1, ..., 1.0} of the interpolated
-precision (the best precision among curve points whose recall reaches
-the level), and AUROC is the trapezoid over (FPR, TPR).
+threshold t the prediction is binarized as p >= t. Each image's
+foreground and background pixels are sorted once and binary-searched
+for every curve threshold and the report's hard threshold together, so
+its confusion counts and its share of the curve come from one search. A
+float32 map is searched in float32, for the least float32 at or above
+t, so every count equals the one its float64 copy would give. The
+11-point mAP is the mean over recall levels {0.0, 0.1, ..., 1.0} of the
+interpolated precision (the best precision among curve points whose
+recall reaches the level), and AUROC is the trapezoid over (FPR, TPR).
 
 The report's ``mask_level`` block tallies whole masks: each thresholded
 prediction is matched against its ground truth at IoU 0.5 (strict
@@ -65,15 +68,10 @@ def confusion(pred, gt):
     p = as_binary(pred, "pred")
     g = as_binary(gt, "gt")
     check_shape(p.shape, "pred", g.shape, "gt")
-    return _counts(p, g)
-
-
-def _counts(pb, gb):
-    """Confusion tallies of two bool arrays of one shape."""
-    tp = int(np.count_nonzero(pb & gb))
-    n_pred, n_gt = int(np.count_nonzero(pb)), int(np.count_nonzero(gb))
+    tp = int(np.count_nonzero(p & g))
+    n_pred, n_gt = int(np.count_nonzero(p)), int(np.count_nonzero(g))
     return ConfusionCounts(tp, n_pred - tp, n_gt - tp,
-                           pb.size - n_pred - n_gt + tp)
+                           p.size - n_pred - n_gt + tp)
 
 
 def _ratio(num, den):
@@ -158,7 +156,7 @@ def _at_least(t, dtype):
 def _checked_pairs(predictions, ground_truths):
     """Yield each input pair, checked once, as (prediction, bool mask),
     reading both iterables in step. A float32 or float64 prediction keeps
-    its dtype, which callers compare against ``_at_least`` cuts so that
+    its dtype, which callers search for ``_at_least`` cuts so that
     counts equal the float64 counts; any other dtype becomes float64.
     ValueError when either runs out first or both are empty."""
     gts = iter(ground_truths)
@@ -181,40 +179,11 @@ def _checked_pairs(predictions, ground_truths):
         raise ValueError("need at least one prediction/ground-truth pair")
 
 
-def _pooled_curve(pairs):
-    """Pooled curve of checked pairs over the default grid. A pooled count
-    of pixels with p >= t is the sum of per-image counts, so summing each
-    image's integer tp/fp per threshold is exact and holds one image at a
-    time."""
-    grid = default_threshold_grid()[::-1]  # strictly decreasing
-    cuts = {dt: _at_least(grid, dt) for dt in _SCORED}
-
-    tp = fp = n_fg = n_bg = 0
-    for p, gb in pairs:
-        fg, bg = p[gb], p[~gb]  # fresh copies, so they sort in place
-        fg.sort()
-        bg.sort()
-        cut = cuts[p.dtype]
-        tp = tp + fg.size - np.searchsorted(fg, cut, side="left")
-        fp = fp + bg.size - np.searchsorted(bg, cut, side="left")
-        n_fg += fg.size
-        n_bg += bg.size
-    precision = np.array([_ratio(t, t + f) for t, f in zip(tp, fp)])
-    recall = np.array([_ratio(t, n_fg) for t in tp])
-    fpr = np.array([_ratio(f, n_bg) for f in fp])
-    return Curve(thresholds=grid, precision=precision, recall=recall,
-                 tpr=recall.copy(), fpr=fpr)
-
-
 def pr_roc_curves(predictions, ground_truths):
-    """Pool pixels over the image set and sweep the 101 thresholds of
-    ``default_threshold_grid``.
-
-    ``predictions`` and ``ground_truths`` are iterables (lists or
-    generators) read once, in step, one pair at a time, so memory holds
-    one image plus the threshold grid whatever the image count.
-    """
-    return _pooled_curve(_checked_pairs(predictions, ground_truths))
+    """The pooled curve of ``evaluate_pairs``: pixels pooled over the
+    image set at the 101 thresholds of ``default_threshold_grid``, read
+    from iterables one pair at a time as there."""
+    return evaluate_pairs(predictions, ground_truths)[1]
 
 
 def write_curve_csv(curve, path):
@@ -294,10 +263,13 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     """Full evaluation of probability maps against hard masks.
 
     ``predictions`` and ``ground_truths`` are iterables (lists or
-    generators) read once, in step: each pair is checked, tallied into
-    the pooled curve and the confusion counts, and dropped before the
-    next is read, so memory holds one image plus the threshold grid and
-    the per-image rows. The first defective pair in input order raises.
+    generators) read once, in step. Each pair is checked, and its
+    foreground and background pixels are sorted and binary-searched for
+    the cuts of the 101 grid thresholds and of ``threshold``: the last
+    cut gives the image's confusion counts, the others add to the pooled
+    curve's tallies. The pair is dropped before the next is read, so
+    memory holds one image plus the threshold grid and the per-image
+    rows. The first defective pair in input order raises.
     Aggregate scalars come from pooled pixel counts at ``threshold``;
     per-image (macro) means are reported alongside. Confidence intervals
     for the aggregate Dice treat it as a proportion over ``ci_n`` trials
@@ -308,28 +280,33 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     if ci_n is not None:
         ci_n = check_int(ci_n, "ci_n", 1)
 
-    counts = []
-    cuts = {dt: _at_least(threshold, dt) for dt in _SCORED}
-
-    def with_hard_counts(pairs):
-        for p, gb in pairs:
-            counts.append(_counts(p >= cuts[p.dtype], gb))
-            yield p, gb
-
-    curve = _pooled_curve(
-        with_hard_counts(_checked_pairs(predictions, ground_truths)))
+    grid = default_threshold_grid()[::-1]  # strictly decreasing
+    # the grid's cuts, then the threshold's
+    cuts = {dt: _at_least(np.append(grid, threshold), dt) for dt in _SCORED}
+    tp = fp = 0  # pooled pixels at or above each grid cut
     per_image = []
-    pooled = ConfusionCounts(0, 0, 0, 0)
-    match_tally = ConfusionCounts(0, 0, 0, 0)
-    for idx, c in enumerate(counts):
+    pooled = match_tally = ConfusionCounts(0, 0, 0, 0)
+    for idx, (p, gb) in enumerate(_checked_pairs(predictions, ground_truths)):
+        fg, bg = p[gb], p[~gb]  # fresh copies, so they sort in place
+        fg.sort()
+        bg.sort()
+        fg_hits = fg.size - np.searchsorted(fg, cuts[p.dtype], side="left")
+        bg_hits = bg.size - np.searchsorted(bg, cuts[p.dtype], side="left")
+        tp = tp + fg_hits[:-1]
+        fp = fp + bg_hits[:-1]
+        c = ConfusionCounts(int(fg_hits[-1]), int(bg_hits[-1]),
+                            int(fg.size - fg_hits[-1]), int(bg.size - bg_hits[-1]))
         pooled = pooled + c
         label = _match_label(c)
         match_tally = match_tally + _MATCH_TALLIES[label]
-        row = {"index": idx}
-        row.update(scalar_metrics(c))
-        row.update(c.to_dict())
-        row["mask_match"] = label
-        per_image.append(row)
+        per_image.append({"index": idx, **scalar_metrics(c), **c.to_dict(),
+                          "mask_match": label})
+    n_fg, n_bg = pooled.tp + pooled.fn, pooled.fp + pooled.tn
+    recall = np.array([_ratio(t, n_fg) for t in tp])
+    curve = Curve(thresholds=grid,
+                  precision=np.array([_ratio(t, t + f) for t, f in zip(tp, fp)]),
+                  recall=recall, tpr=recall.copy(),
+                  fpr=np.array([_ratio(f, n_bg) for f in fp]))
 
     aggregate = scalar_metrics(pooled)
     n = ci_n if ci_n is not None else len(per_image)

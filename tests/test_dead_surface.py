@@ -1,4 +1,5 @@
-"""Every public top-level function and class in ``src/segens`` has a reader.
+"""Every public top-level function and class in ``src/segens``, and every
+public method and property of a public class, has a reader.
 
 A name counts as read when it appears, outside its own definition, in
 package code, in a benchmark script (``perfbench/*.py``) or in the
@@ -19,12 +20,20 @@ KEEP = {
 }
 
 
+def _public(nodes):
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions():
+    """(path, qualified name, node) of each public definition."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path, node
+        for node in _public(ast.parse(path.read_text()).body):
+            yield path, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    yield path, f"{node.name}.{method.name}", method
 
 
 def _references(path):
@@ -43,11 +52,11 @@ def _unread():
     readers = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
                + [ROOT / "tests" / "test_acceptance.py"])
     refs = {path: list(_references(path)) for path in readers}
-    for path, node in _public_definitions():
+    for path, qualname, node in _public_definitions():
         own = range(node.lineno, node.end_lineno + 1)
         if not any(name == node.name and not (reader == path and line in own)
                    for reader, found in refs.items() for name, line in found):
-            yield path.stem, node.name
+            yield path.stem, qualname
 
 
 def test_every_public_definition_has_a_reader():
@@ -56,6 +65,6 @@ def test_every_public_definition_has_a_reader():
 
 
 def test_keep_list_names_only_unread_definitions():
-    defined = {(path.stem, node.name) for path, node in _public_definitions()}
+    defined = {(path.stem, qualname) for path, qualname, _ in _public_definitions()}
     assert set(KEEP) <= defined, f"kept but not defined: {set(KEEP) - defined}"
     assert set(KEEP) <= set(_unread()), "a kept name has a reader; drop it from KEEP"

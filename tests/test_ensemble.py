@@ -160,7 +160,7 @@ class TestFusion:
 class TestBuild:
     def test_parameter_count_for_three_channels(self):
         params = build_metalearner(3, seed=0)
-        assert params.parameter_count() == 394_497
+        assert sum(a.size for a in params.parameter_arrays()) == 394_497
         per_layer = [k.weights.size + k.bias.size for k in params.layers]
         assert per_layer == [7_168, 295_040, 73_792, 18_464, 33]
 
@@ -417,6 +417,22 @@ class TestTraining:
                             plateau_patience=2, plateau_factor=0.5)
         train_metalearner(self._tiny_pairs(n=1), hyper=hyper)
         assert rates == [lr, lr, lr, lr / 2, lr / 2, lr / 4]
+
+    def test_model_rebuilt_once_per_step(self, monkeypatch):
+        # one build after each of the 2 x 2 Adam steps, one for the result;
+        # none at an epoch's start, where the last step's model is current
+        calls = []
+        real = ensemble.MetaLearnerParams.from_arrays
+
+        def spy(cls, arrays, seed=0):
+            calls.append(seed)
+            return real(arrays, seed=seed)
+
+        monkeypatch.setattr(ensemble.MetaLearnerParams, "from_arrays",
+                            classmethod(spy))
+        train_metalearner(self._tiny_pairs(n=4),
+                          hyper=HyperParams(epochs=2, batch_size=2))
+        assert len(calls) == 5
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):

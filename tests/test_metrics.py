@@ -391,6 +391,23 @@ class TestEvaluatePairs:
         assert report.counts == pooled
         assert report.iou == scalar_metrics(pooled)["iou"]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("grid_threshold", [0.0, 0.3, 0.5, 1.0])
+    def test_counts_agree_with_own_curve(self, dtype, grid_threshold):
+        # many pixels sit on a grid threshold, in float32 a neighbour of it
+        rng = np.random.default_rng(60)
+        gts = [(rng.random((16, 16)) > 0.6).astype(np.uint8) for _ in range(5)]
+        preds = [(rng.integers(0, 101, g.shape) / 100).astype(dtype) for g in gts]
+        thresholds = default_threshold_grid()[::-1]  # the curve's order
+        i = int(np.argmin(np.abs(thresholds - grid_threshold)))
+        report, curve = evaluate_pairs(preds, gts, threshold=thresholds[i])
+        c = report.counts
+        assert np.rint(curve.recall[i] * (c.tp + c.fn)) == c.tp
+        assert np.rint(curve.fpr[i] * (c.fp + c.tn)) == c.fp
+        alone = pr_roc_curves(preds, gts)
+        for name in ("thresholds", "precision", "recall", "tpr", "fpr"):
+            assert np.array_equal(getattr(alone, name), getattr(curve, name))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_prediction_is_numeric_error(self, bad):
         preds, gts = self._fixture(3)

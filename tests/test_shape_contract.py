@@ -1,6 +1,8 @@
 """One check for the shape-agreement contract: ``errors.check_shape``, and
 every entry point whose arrays must agree in shape goes through it, with
-the one message form ``<a> shape A != <b> shape B``."""
+the one message form ``<a> shape A != <b> shape B``. An array with a
+0-length dim is rejected by the rank check or the probability check in
+``errors``, before anything is written."""
 
 import re
 
@@ -109,3 +111,39 @@ def test_disagreeing_shapes_rejected(call, message, tmp_path):
     with pytest.raises(ShapeMismatchError,
                        match=f"^{re.escape(message.format(tmp_path))}$"):
         call(tmp_path)
+
+
+_EMPTY = np.zeros((0, 3), np.uint8)
+
+# (entry point, call taking a scratch directory, the message)
+EMPTY_SITES = [
+    ("store_gray PGM", lambda d: imageio.store_gray(_EMPTY, d / "e.pgm"),
+     "image has an empty spatial dim, shape (0, 3)"),
+    ("store_gray PNG", lambda d: imageio.store_gray(_EMPTY.T, d / "e.png"),
+     "image has an empty spatial dim, shape (3, 0)"),
+    ("store_feature_stack",
+     lambda d: imageio.store_feature_stack(np.zeros((1, 0, 3), np.float32),
+                                           d / "e.fst"),
+     "feature stack has an empty spatial dim, shape (1, 0, 3)"),
+    ("store_feature_stack channels",
+     lambda d: imageio.store_feature_stack(np.zeros((0, 2, 2), np.float32),
+                                           d / "e.fst"),
+     "feature stack has an empty channel dim, shape (0, 2, 2)"),
+    ("store_probmap", lambda d: imageio.store_probmap(_EMPTY, d / "e.pgm"),
+     "probability map is empty, shape (0, 3)"),
+    ("mean_absolute_error", lambda _: losses.mean_absolute_error(_EMPTY, _EMPTY),
+     "a has an empty spatial dim, shape (0, 3)"),
+    ("evaluate_pairs", lambda _: metrics.evaluate_pairs([_EMPTY], [_EMPTY]),
+     "prediction 0 is empty, shape (0, 3)"),
+    ("pr_roc_curves",
+     lambda _: metrics.pr_roc_curves([_A, _EMPTY], [_A, _EMPTY]),
+     "prediction 1 is empty, shape (0, 3)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [s[1:] for s in EMPTY_SITES],
+                         ids=[s[0] for s in EMPTY_SITES])
+def test_empty_arrays_rejected(call, message, tmp_path):
+    with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert not any(tmp_path.iterdir()), "a file was written"
