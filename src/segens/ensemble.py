@@ -292,10 +292,11 @@ def _prepare_pairs(pairs, boundary, what, channels):
 
 
 def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
-                      boundary=None, init_params=None):
+                      boundary=None):
     """Mini-batch Adam descent on the focal Tversky + soft-boundary loss.
 
     ``train_pairs`` and ``val_pairs`` are sequences of (stack, gt_mask).
+    The model starts as build_metalearner(train sample 0's channels, seed).
     Returns (params at the best monitored loss, TrainRun). The monitored
     loss is the validation loss when a validation set is given, else the
     train loss. The learning rate halves after ``plateau_patience``
@@ -308,11 +309,10 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
     train_pairs = list(train_pairs)
     if not train_pairs:
         raise ValueError("training set is empty")
-    channels = init_params.in_channels if init_params else require_chw(
-        train_pairs[0][0], "train sample 0: stack").shape[0]
+    channels = require_chw(train_pairs[0][0], "train sample 0: stack").shape[0]
     train = _prepare_pairs(train_pairs, boundary, "train", channels)
     val = _prepare_pairs(val_pairs, boundary, "validation", channels)
-    params = init_params or build_metalearner(channels, hyper.seed)
+    params = build_metalearner(channels, hyper.seed)
     arrays = params.parameter_arrays()
     state = AdamState.fresh(arrays, hyper.learning_rate)
     shuffle_rng = np.random.default_rng((hyper.seed, 1))

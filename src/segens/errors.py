@@ -1,6 +1,6 @@
 """Exception types shared across the package, and one check per argument
-contract: a real range, an integer, two shapes that must agree, an
-array's rank with no 0-length dim, a {0, 1} mask and a probability map.
+contract: a real range, an integer, two shapes that must agree, a
+non-empty array and its rank, a {0, 1} mask and a probability map.
 
 The CLI maps the exceptions onto stable exit codes: decode/IO problems
 exit 2, shape mismatches exit 3, numeric failures exit 4, and plain
@@ -74,16 +74,21 @@ def check_shape(a, a_name, b, b_name):
         raise ShapeMismatchError(f"{a_name} shape {a} != {b_name} shape {b}")
 
 
+def check_nonempty(arr, name, problem):
+    """``arr``; ShapeMismatchError ``<name> <problem>, shape S`` if a dim is 0."""
+    if 0 in arr.shape:
+        raise ShapeMismatchError(f"{name} {problem}, shape {arr.shape}")
+    return arr
+
+
 def _require_rank(x, name, ndim, form):
     """``x`` as an array; ShapeMismatchError unless it has ``ndim`` dims
     and none of them is 0-length. The last two dims are the spatial ones."""
     arr = np.asarray(x)
     if arr.ndim != ndim:
         raise ShapeMismatchError(f"{name} must be {form}, got shape {arr.shape}")
-    if 0 in arr.shape:
-        dim = "spatial" if 0 in arr.shape[-2:] else "channel"
-        raise ShapeMismatchError(f"{name} has an empty {dim} dim, shape {arr.shape}")
-    return arr
+    dim = "spatial" if 0 in arr.shape[-2:] else "channel"
+    return check_nonempty(arr, name, f"has an empty {dim} dim")
 
 
 def require_2d(x, name):
@@ -113,8 +118,7 @@ def check_probabilities(p, name, top=1):
     NumericError, finite ones outside [0, top] ValueError. min and max
     propagate NaN, so they cover both value checks.
     """
-    if p.size == 0:
-        raise ShapeMismatchError(f"{name} is empty, shape {p.shape}")
+    check_nonempty(p, name, "is empty")
     lo, hi = float(np.min(p)), float(np.max(p))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite values")

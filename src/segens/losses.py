@@ -5,15 +5,16 @@ Soft overlap counts for a ground truth t and prediction p (both in
 
     TP = sum(t * p)    FN = sum(t * (1 - p))    FP = sum((1 - t) * p)
 
-A small stabilizer is added to the numerator and denominator of every
-ratio so empty masks do not divide 0 by 0. The Tversky index weights the
-FN term by ``fn_weight`` and the FP term by its complement; at
-fn_weight = 0.5 it is exactly the (soft) Dice score, and ``dice_soft``
-is implemented through that identity. The focal Tversky loss is
-(1 - TI) ** focal_exponent and comes with its analytic gradient with
-respect to the prediction; ``ft_bu_loss`` is the same loss measured
-against boundary-uncertainty soft labels of a hard mask and is the
-training loss of the stacking meta-learner.
+The stabilizer _SMOOTH = 1e-6 is added to the numerator and denominator
+of every ratio so empty masks do not divide 0 by 0; an empty array is
+refused. The Tversky index weights the FN term by ``fn_weight`` and the
+FP term by its complement; at fn_weight = 0.5 it is exactly the (soft)
+Dice score, and ``dice_soft`` is implemented through that identity. The
+focal Tversky loss is (1 - TI) ** focal_exponent and comes with its
+analytic gradient with respect to the prediction; ``ft_bu_loss`` is the
+same loss measured against boundary-uncertainty soft labels of a hard
+mask, both at their defaults, and is the training loss of the stacking
+meta-learner.
 
 The mixed loss weighs structural dissimilarity against mean absolute
 error: 0.84 * (1 - MS-SSIM) + 0.16 * MAE. MS-SSIM uses an 11x11
@@ -29,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_int, check_range, check_shape, require_2d
-from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
+from .errors import (check_int, check_nonempty, check_range, check_shape,
+                     require_2d)
+from .morpho import boundary_soft_labels
 
+_SMOOTH = 1e-6
 _SCALE_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 _C1 = 0.01 ** 2
 _C2 = 0.03 ** 2
@@ -44,12 +47,10 @@ _WINDOW /= _WINDOW.sum()
 class TverskyConfig:
     fn_weight: float = 0.7
     focal_exponent: float = 0.75
-    smooth: float = 1e-6
 
     def __post_init__(self):
         check_range(self.fn_weight, "fn_weight", 0, 1)
         check_range(self.focal_exponent, "focal_exponent", 0, lo_open=True)
-        check_range(self.smooth, "smooth", 0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -64,23 +65,23 @@ def _soft_counts(target, prediction):
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(prediction, dtype=np.float64)
     check_shape(t.shape, "target", p.shape, "prediction")
+    check_nonempty(t, "target", "is empty")
     tp = float((t * p).sum())
     fn = float((t * (1.0 - p)).sum())
     fp = float(((1.0 - t) * p).sum())
     return tp, fn, fp
 
 
-def tversky_index(target, prediction, fn_weight=0.7, smooth=1e-6):
+def tversky_index(target, prediction, fn_weight=0.7):
     check_range(fn_weight, "fn_weight", 0, 1)
-    check_range(smooth, "smooth", 0, lo_open=True)
     tp, fn, fp = _soft_counts(target, prediction)
-    return (tp + smooth) / (tp + fn_weight * fn + (1.0 - fn_weight) * fp + smooth)
+    return (tp + _SMOOTH) / (tp + fn_weight * fn + (1.0 - fn_weight) * fp + _SMOOTH)
 
 
-def dice_soft(target, prediction, smooth=1e-6):
+def dice_soft(target, prediction):
     # Tversky at fn_weight 0.5; identical to 2TP/(2TP+FP+FN) with the
     # stabilizer doubled, and bit-for-bit equal to tversky_index(0.5).
-    return tversky_index(target, prediction, fn_weight=0.5, smooth=smooth)
+    return tversky_index(target, prediction, fn_weight=0.5)
 
 
 def focal_tversky_loss(target, prediction, config=None):
@@ -94,8 +95,8 @@ def focal_tversky_loss(target, prediction, config=None):
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(prediction, dtype=np.float64)
     tp, fn, fp = _soft_counts(t, p)
-    num = tp + cfg.smooth
-    den = tp + cfg.fn_weight * fn + (1.0 - cfg.fn_weight) * fp + cfg.smooth
+    num = tp + _SMOOTH
+    den = tp + cfg.fn_weight * fn + (1.0 - cfg.fn_weight) * fp + _SMOOTH
     ti = num / den
     base = 1.0 - ti
     if base <= 0.0:
@@ -107,14 +108,11 @@ def focal_tversky_loss(target, prediction, config=None):
     return loss, grad
 
 
-def ft_bu_loss(mask, prediction, tversky=None, boundary=None):
-    """Focal Tversky loss against boundary-uncertainty soft labels.
-
-    ``mask`` is the hard {0,1} ground truth; returns (loss, grad) like
-    ``focal_tversky_loss``.
-    """
-    soft = boundary_soft_labels(mask, boundary or BoundaryUncertaintyConfig())
-    return focal_tversky_loss(soft, prediction, tversky)
+def ft_bu_loss(mask, prediction):
+    """Focal Tversky loss against boundary-uncertainty soft labels, both
+    at their defaults, of the hard {0,1} ``mask``; returns (loss, grad)
+    like ``focal_tversky_loss``."""
+    return focal_tversky_loss(boundary_soft_labels(mask), prediction)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ same order, and a grad_out band is held only until both have passed it.
 Chained layer by layer, a training step holds no whole-image float64
 gradient: at 64x64, 128x128 and 256x256 it traces 22.2, 50.4 and 139.8
 MB, of which 7.5, 30.2 and 120.75 MB are the layer inputs that forward
-caches.
-conv2d_backward runs the stream's two consumers on a whole grad_out.
+caches. conv2d_backward runs _backward on grad_out as one band.
 
 adam_step is bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) at the
 usual moment decays beta1 = 0.9 and beta2 = 0.999 and stabilizer
@@ -119,13 +118,14 @@ def _band_edges(h, stride, channels):
     return ((h * k // bands, h * (k + 1) // bands) for k in range(bands))
 
 
-def _row_bands(bands, h, kh, kw, out_ch):
+def _row_bands(bands, h, kh, kw, edges):
     """Yield (r0, r1, flat, offsets) per band of output rows r0..r1-1.
 
     ``bands`` yields (r0, r1, rows) bands of a (C, h, W) input in row
     order; only those that the current band and the ones after it still
-    need are held. Bands follow _band_edges for ``C + 2*out_ch`` channels
-    and ``stride = W + 2*pw``.
+    need are held. The output bands are ``edges``, the caller's
+    _band_edges for ``C + 2*O`` channels of ``stride = W + 2*pw``, with
+    O the output channels of the product that reads them.
     ``flat`` is image rows r0-ph .. r1+ph-1 (the ``kh//2`` halo; zeros
     outside the image) in float64 rows of ``stride``, flattened, plus
     ``2*pw`` trailing zeros, so tap (i, j) at ``o = i*stride + j`` reads
@@ -139,7 +139,7 @@ def _row_bands(bands, h, kh, kw, out_ch):
     end = held[0][1]  # input rows 0..end-1 have arrived
     stride = held[0][2].shape[2] + 2 * pw
     offsets = [i * stride + j for i in range(kh) for j in range(kw)]
-    for r0, r1 in _band_edges(h, stride, len(held[0][2]) + 2 * out_ch):
+    for r0, r1 in edges:
         while end < min(r1 + ph, h):
             held.append(next(bands))
             end = held[-1][1]
@@ -194,15 +194,11 @@ def conv2d_forward(x, kernel):
 
     Borders are zero padded so spatial dims are preserved.
     """
-    return _correlate_whole(_check_channels(x, kernel), kernel.weights,
-                            kernel.bias)
-
-
-def _correlate_whole(x, weights, bias):
-    """_correlate of a whole (C, H, W) array into a new (O, H, W) one."""
+    x = _check_channels(x, kernel)
     h = x.shape[1]
-    out = np.empty((len(weights), h, x.shape[2]), _out_dtype(x, weights, bias))
-    for _ in _correlate([(0, h, x)], h, weights, bias, out):
+    out = np.empty((kernel.out_channels,) + x.shape[1:],
+                   _out_dtype(x, kernel.weights, kernel.bias))
+    for _ in _correlate([(0, h, x)], h, kernel.weights, kernel.bias, out):
         pass
     return out
 
@@ -216,7 +212,7 @@ def _correlate(bands, h, weights, bias, out=None):
     ``rows`` is a view of ``out`` if given, an (O, h, W) array of the
     output dtype, or else a new array.
     """
-    out_ch, _, kh, kw = weights.shape
+    out_ch, in_ch, kh, kw = weights.shape
     bands = iter(bands)
     first = next(bands)
     dt = _out_dtype(first[2], weights, bias)
@@ -228,7 +224,8 @@ def _correlate(bands, h, weights, bias, out=None):
     bias = bias.astype(np.float64)[:, None]
     # a list iterator lets go of its list once spent, so first is held
     # only as long as _row_bands needs it
-    bands = _row_bands(chain(iter([first]), bands), h, kh, kw, out_ch)
+    bands = _row_bands(chain(iter([first]), bands), h, kh, kw,
+                       _band_edges(h, stride, in_ch + 2 * out_ch))
     del first
     for r0, r1, flat, offsets in bands:
         n = (r1 - r0) * stride
@@ -256,16 +253,15 @@ def conv2d_backward(x, kernel, grad_out):
     """Gradients of a scalar loss through conv2d_forward.
 
     ``grad_out`` is the upstream gradient with the output's shape.
-    Returns (grad_input, grad_weights, grad_bias).
+    Returns (grad_input, grad_weights, grad_bias), from the stream that
+    training runs (_backward) fed grad_out as one band.
     """
     x = _check_channels(x, kernel)
     g = require_chw(grad_out, "grad_out")
     check_shape(g.shape, "grad_out", (kernel.out_channels,) + x.shape[1:],
                 "output")
-    # _backward's two consumers of grad_out, one after the other
-    grad_in = _correlate_whole(g, *_flipped(x, kernel.weights))
-    grads = []
-    for _ in _param_grads([(0, x.shape[1], g)], x, kernel.weights, grads):
+    grad_in, grads = np.empty(x.shape, _out_dtype(x, kernel.weights, g)), []
+    for _ in _backward([(0, x.shape[1], g)], x, kernel.weights, grads, grad_in):
         pass
     return (grad_in, *grads)
 
@@ -278,16 +274,16 @@ def _flipped(x, weights):
     return flipped, np.zeros(len(flipped), _out_dtype(x, weights))
 
 
-def _backward(bands, x, weights, grads):
+def _backward(bands, x, weights, grads, out=None):
     """conv2d_backward on checked operands as a stream of row bands.
 
     ``bands`` yields grad_out's (r0, r1, rows) bands in row order; yields
-    the input gradient's bands (see _correlate) and appends
-    (grad_weights, grad_bias) to ``grads`` once ``bands`` is spent. A
-    grad_out band is held until both consumers have passed it.
+    the input gradient's bands (see _correlate, and ``out`` there) and
+    appends (grad_weights, grad_bias) to ``grads`` once ``bands`` is
+    spent. A grad_out band is held until both consumers have passed it.
     """
     return _correlate(_param_grads(bands, x, weights, grads), x.shape[1],
-                      *_flipped(x, weights))
+                      *_flipped(x, weights), out)
 
 
 def _param_grads(bands, x, weights, grads):
@@ -309,9 +305,9 @@ def _param_grads(bands, x, weights, grads):
     gw = np.zeros((out_ch, kh * kw * in_ch))
     row_sums = np.empty((out_ch, h))
     bands, held, end = iter(bands), [], 0
-    xbands = _row_bands([(0, h, x)], h, kh, kw, out_ch)
-    # xbands' edges, known before it builds a band
-    for _, r1 in _band_edges(h, stride, in_ch + 2 * out_ch):
+    edges = list(_band_edges(h, stride, in_ch + 2 * out_ch))
+    xbands = _row_bands([(0, h, x)], h, kh, kw, edges)
+    for _, r1 in edges:
         while end < r1:
             held.append(next(bands))
             g0, end, rows = held[-1]

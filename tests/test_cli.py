@@ -2,6 +2,7 @@
 contract."""
 
 import argparse
+import inspect
 import json
 import zlib
 from dataclasses import replace
@@ -10,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segens import ensemble, imageio, metrics
+from segens import augment, ensemble, imageio, metrics, stats
 from segens.cli import _build_parser, main
 from segens.errors import NumericError
+from segens.losses import TverskyConfig
+from segens.morpho import BoundaryUncertaintyConfig
 
 
 @pytest.fixture
@@ -822,3 +825,53 @@ class TestScalarFlags:
         assert main(argv) == 1
         assert not any(out.iterdir())
         assert capsys.readouterr().out == ""
+
+
+def _default(fn, param):
+    return inspect.signature(fn).parameters[param].default
+
+
+def _cli_defaults():
+    """(minimal argv, parsed attribute, the library default it feeds,
+    where that default is set)."""
+    hyper, tversky = ensemble.HyperParams(), TverskyConfig()
+    bu, aug = BoundaryUncertaintyConfig(), augment.AugmentConfig()
+    train = ["stack", "train", "--manifest", "m", "--params", "p"]
+    for f in ("learning_rate", "epochs", "batch_size", "seed", "dice_target"):
+        yield train, f, getattr(hyper, f), f"HyperParams.{f}"
+    for f in ("fn_weight", "focal_exponent"):
+        yield train, f, getattr(tversky, f), f"TverskyConfig.{f}"
+    preview = ["bu-preview", "--mask", "m", "--out", "o"]
+    for argv, iterations in ((train, "bu_iterations"), (preview, "iterations")):
+        for f in ("interior_label", "exterior_label"):
+            yield argv, f, getattr(bu, f), f"BoundaryUncertaintyConfig.{f}"
+        yield (argv, iterations, bu.iterations,
+               "BoundaryUncertaintyConfig.iterations")
+    argv = ["augment", "--manifest", "m", "--outdir", "o", "--out-manifest", "a"]
+    for f, i in (("rotation_min", 0), ("rotation_max", 1)):
+        yield argv, f, aug.rotation_degrees[i], f"AugmentConfig.rotation_degrees[{i}]"
+    for f, i in (("zoom_min", 0), ("zoom_max", 1)):
+        yield argv, f, aug.zoom_factors[i], f"AugmentConfig.zoom_factors[{i}]"
+    for f, field in (("mirror_prob", "mirror_probability"), ("count", "count"),
+                     ("seed", "seed")):
+        yield argv, f, getattr(aug, field), f"AugmentConfig.{field}"
+    yield (["eval", "--pred", "p", "--gt", "g"], "threshold",
+           _default(metrics.evaluate_pairs, "threshold"), "evaluate_pairs.threshold")
+    fuse = ["fuse", "--method", "max", "--inputs", "a", "b", "--out", "o"]
+    yield (fuse, "threshold", _default(ensemble.fuse_max, "binarize_threshold"),
+           "fuse_max.binarize_threshold")
+    yield fuse, "threshold", _default(ensemble.binarize, "threshold"), "binarize.threshold"
+    for fn in (stats.wald_ci, stats.clopper_pearson_ci):
+        yield ["ci", "--dice", "0.5"], "level", _default(fn, "level"), f"{fn.__name__}.level"
+
+
+_CLI_DEFAULTS = list(_cli_defaults())
+
+
+@pytest.mark.parametrize("argv, attr, want", [c[:3] for c in _CLI_DEFAULTS],
+                         ids=[f"{c[0][0]} {c[1]}={c[3]}" for c in _CLI_DEFAULTS])
+def test_cli_default_equals_library_default(argv, attr, want):
+    # each default is written twice, once in the parser and once in the
+    # library; a run with the flag left out must get the library's value
+    got = getattr(_build_parser().parse_args(argv), attr)
+    assert got == want and type(got) is type(want), (got, want)

@@ -326,7 +326,7 @@ class TestTraining:
         pairs = self._tiny_pairs()
         hyper = HyperParams(learning_rate=0.0, epochs=3, batch_size=2, seed=0)
         init = build_metalearner(2, seed=0)
-        params, run = train_metalearner(pairs, hyper=hyper, init_params=init)
+        params, run = train_metalearner(pairs, hyper=hyper)
         for ka, kb in zip(params.layers, init.layers):
             assert np.array_equal(ka.weights, kb.weights)
             assert np.array_equal(ka.bias, kb.bias)
@@ -335,8 +335,8 @@ class TestTraining:
     def test_zero_epochs_returns_init(self):
         pairs = self._tiny_pairs()
         init = build_metalearner(2, seed=4)
-        params, run = train_metalearner(
-            pairs, hyper=HyperParams(epochs=0, seed=4), init_params=init)
+        params, run = train_metalearner(pairs,
+                                        hyper=HyperParams(epochs=0, seed=4))
         assert run.train_loss == [] and run.best_epoch == -1
         for ka, kb in zip(params.layers, init.layers):
             assert np.array_equal(ka.weights, kb.weights)
@@ -385,16 +385,16 @@ class TestTraining:
                                  "model expects 2"):
             train_metalearner(pairs, val, hyper=HyperParams(epochs=1))
 
-    def test_init_params_mismatch_reported_at_sample_0_first(self):
-        # sample 1's mask does not fit its stack, but sample 0 already
-        # disagrees with the model's channel count, and is checked first
+    def test_first_failing_sample_sets_the_error(self):
+        # sample 2's mask does not fit its stack, but sample 1 already
+        # disagrees with sample 0's channel count, and is checked first
         pairs = self._tiny_pairs()
-        pairs[1] = (pairs[1][0], np.zeros((3, 3), np.uint8))
+        pairs[1] = (np.zeros((3, 8, 8), np.float32), pairs[1][1])
+        pairs[2] = (pairs[2][0], np.zeros((3, 3), np.uint8))
         with pytest.raises(ShapeMismatchError,
-                           match="train sample 0 has 2 channels but the "
-                                 "model expects 3"):
-            train_metalearner(pairs, hyper=HyperParams(epochs=1),
-                              init_params=build_metalearner(3, seed=0))
+                           match="train sample 1 has 3 channels but the "
+                                 "model expects 2"):
+            train_metalearner(pairs, hyper=HyperParams(epochs=1))
 
     def test_plateau_halves_the_rate_every_patience_epochs(self, monkeypatch):
         # a constant loss never improves after epoch 0, so with patience 2
@@ -494,17 +494,18 @@ class TestTraining:
         grown = step_peak(256) - step_peak(128)
         assert grown <= cached, f"grew {grown / 2**20:.1f} MB"
 
-    def test_both_empty_sample_scores_dice_one(self):
+    def test_both_empty_sample_scores_dice_one(self, monkeypatch):
         init = build_metalearner(2, seed=0)
         head = init.layers[-1]
         # a zero head with a strongly negative bias predicts empty masks
         layers = init.layers[:-1] + (
             ConvKernel(np.zeros_like(head.weights), np.full(1, -20.0, np.float32)),)
+        monkeypatch.setattr(ensemble, "build_metalearner",
+                            lambda channels, seed: MetaLearnerParams(layers))
         stack = np.random.default_rng(3).random((2, 8, 8)).astype(np.float32)
         _, run = train_metalearner(
             [(stack, np.zeros((8, 8), np.uint8))],
-            hyper=HyperParams(epochs=1, batch_size=1, seed=0),
-            init_params=MetaLearnerParams(layers=layers))
+            hyper=HyperParams(epochs=1, batch_size=1, seed=0))
         assert run.train_dice == [1.0]
 
 

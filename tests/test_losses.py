@@ -11,7 +11,7 @@ from segens.losses import (MixedLossConfig, TverskyConfig, dice_soft,
                            focal_tversky_loss, ft_bu_loss, mean_absolute_error,
                            mixed_loss, msssim, tversky_index)
 from segens.metrics import confusion, dice_from_iou, scalar_metrics
-from segens.morpho import BoundaryUncertaintyConfig, boundary_soft_labels
+from segens.morpho import boundary_soft_labels
 
 from _oracles import finite_diff_grad
 
@@ -25,9 +25,9 @@ class TestOverlapScores:
     def test_disjoint_hard_masks(self):
         t = np.array([1.0, 1.0, 0.0, 0.0])
         p = np.array([0.0, 0.0, 1.0, 1.0])
-        smooth = 1e-6
+        smooth = 1e-6  # the stabilizer
         # TP = 0, FN = FP = 2: Dice's denominator is (FN + FP) / 2
-        assert math.isclose(dice_soft(t, p, smooth), smooth / (2 + smooth))
+        assert math.isclose(dice_soft(t, p), smooth / (2 + smooth))
 
     def test_dice_direct_case(self):
         t = np.array([1.0, 0.0])
@@ -42,8 +42,9 @@ class TestOverlapScores:
             if not (t.any() or p.any()):
                 continue
             iou = scalar_metrics(confusion(t[None], p[None]))["iou"]
-            dice = dice_soft(t, p, smooth=1e-12)
-            assert abs(dice - dice_from_iou(iou)) < 1e-9
+            # the 1e-6 stabilizer moves a ratio whose denominator is at
+            # least 1/2 by under 2e-6
+            assert abs(dice_soft(t, p) - dice_from_iou(iou)) < 2e-6
 
     def test_tversky_direct_case(self):
         t = np.array([1.0, 0.0])
@@ -74,7 +75,7 @@ class TestFocalTversky:
         # TI = 0.8 at fn_weight 0.7 -> loss = 0.2 ** 0.75
         t = np.array([1.0, 0.0])
         p = np.array([0.8, 0.2])
-        loss, _ = focal_tversky_loss(t, p, TverskyConfig(smooth=1e-12))
+        loss, _ = focal_tversky_loss(t, p)
         assert abs(loss - 0.2 ** 0.75) < 1e-6
 
     def test_gradient_matches_finite_differences(self):
@@ -103,20 +104,22 @@ class TestFocalTversky:
 
 class TestFtBu:
     def test_degenerate_labels_match_plain_ft(self):
+        # focal Tversky against the default soft labels, which an empty
+        # mask, having no boundary rings, leaves hard
         rng = np.random.default_rng(35)
-        cfg = BoundaryUncertaintyConfig(interior_label=1.0, exterior_label=0.0)
-        for _ in range(10):
-            mask = (rng.random((8, 8)) > 0.5).astype(np.uint8)
+        masks = [(rng.random((8, 8)) > 0.5).astype(np.uint8) for _ in range(10)]
+        for mask, soft in ([(m, boundary_soft_labels(m)) for m in masks]
+                           + [(np.zeros((8, 8), np.uint8), np.zeros((8, 8)))]):
             p = rng.uniform(0.05, 0.95, (8, 8))
-            got_loss, got_grad = ft_bu_loss(mask, p, boundary=cfg)
-            want_loss, want_grad = focal_tversky_loss(mask.astype(float), p)
+            got_loss, got_grad = ft_bu_loss(mask, p)
+            want_loss, want_grad = focal_tversky_loss(soft, p)
             assert got_loss == want_loss
             assert np.array_equal(got_grad, want_grad)
 
     def test_loss_floor_at_soft_label_prediction(self):
         # predicting the soft labels themselves gives TI = sum(t^2)/sum(t),
         # which is < 1 whenever genuinely soft values exist, so the loss
-        # floor is positive; it reaches ~0 only with hard (1/0) labels
+        # floor is positive
         mask = np.zeros((8, 8), np.uint8)
         mask[2:6, 2:6] = 1
         soft = boundary_soft_labels(mask).astype(np.float64)
@@ -124,11 +127,6 @@ class TestFtBu:
         smooth = 1e-6
         ti = ((soft * soft).sum() + smooth) / (soft.sum() + smooth)
         assert abs(loss - (1.0 - ti) ** 0.75) < 1e-12
-        hard_cfg = BoundaryUncertaintyConfig(interior_label=1.0,
-                                             exterior_label=0.0)
-        hard_loss, _ = ft_bu_loss(mask, mask.astype(np.float64),
-                                  boundary=hard_cfg)
-        assert hard_loss <= 1e-4
 
     def test_square_case_matches_composed_reference(self):
         # independent route: build the soft labels by set algebra, then

@@ -311,7 +311,7 @@ class TestBandedForward:
 
         def spy(*args):
             for band in row_bands(*args):
-                bands.append(band[:2])
+                bands.append((len(band[2]), band[:2]))  # channels, rows
                 yield band
 
         monkeypatch.setattr(ndtensor, "_row_bands", spy)
@@ -323,12 +323,14 @@ class TestBandedForward:
         assert np.allclose(y, want, rtol=tol, atol=tol)
         if dtype == np.float32:
             assert y.tobytes() == one_band.tobytes()
-        # the weight gradient runs last, on the forward's bands
+        # the weight gradient reads the input on the forward's bands;
+        # grad_out's bands, of out_ch channels, interleave with them
         forward_bands = list(bands)
+        bands.clear()
         g = rng.standard_normal((out_ch, h, w)).astype(dtype)
         _, _, want_gw = conv_reference(x, kernel.weights, kernel.bias, g)
         _, gw, gb = conv2d_backward(x, kernel, g)
-        assert bands[-len(forward_bands):] == forward_bands
+        assert [b for b in bands if b[0] == in_ch] == forward_bands
         assert gw.dtype == gb.dtype == dtype
         assert np.allclose(gw, want_gw, rtol=tol, atol=tol)
         assert np.allclose(gb, g.sum(axis=(1, 2), dtype=np.float64),

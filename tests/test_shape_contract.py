@@ -133,6 +133,13 @@ EMPTY_SITES = [
      "probability map is empty, shape (0, 3)"),
     ("mean_absolute_error", lambda _: losses.mean_absolute_error(_EMPTY, _EMPTY),
      "a has an empty spatial dim, shape (0, 3)"),
+    # scored a perfect 1.0, 1.0 and loss 0.0
+    ("tversky_index", lambda _: losses.tversky_index(_EMPTY, _EMPTY),
+     "target is empty, shape (0, 3)"),
+    ("dice_soft", lambda _: losses.dice_soft(_EMPTY, _EMPTY),
+     "target is empty, shape (0, 3)"),
+    ("focal_tversky_loss", lambda _: losses.focal_tversky_loss(_EMPTY, _EMPTY),
+     "target is empty, shape (0, 3)"),
     ("evaluate_pairs", lambda _: metrics.evaluate_pairs([_EMPTY], [_EMPTY]),
      "prediction 0 is empty, shape (0, 3)"),
     ("pr_roc_curves",
