@@ -1,8 +1,8 @@
 """Command-line surface: reproducible batch workflows over files.
 
 Subcommands: ``eval``, ``fuse``, ``stack train``, ``stack predict``,
-``augment``, ``ci``, ``bu-preview``. All randomness is seeded (default
-seed 0), so every subcommand is deterministic given identical inputs.
+``augment``, ``ci``, ``bu-preview``. All randomness is seeded by
+``--seed``, so every subcommand is deterministic given identical inputs.
 
 Exit codes are a stable contract:
 
@@ -16,6 +16,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -39,37 +40,53 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(p, flag, default, text, **kwargs):
+    """Add ``flag`` defaulting to, and typed after, the library's ``default``."""
+    p.add_argument(flag, **{"type": type(default), **kwargs}, default=default,
+                   help=f"{text} (default: %(default)s)")
+
+
+def _boundary_flags(p, iterations_flag):
+    """The soft-label flags that ``stack train`` and ``bu-preview`` share."""
+    bu = BoundaryUncertaintyConfig
+    _flag(p, "--zeta", bu.interior_label, "soft label for the interior boundary ring",
+          dest="interior_label")
+    _flag(p, "--omega", bu.exterior_label, "soft label for the exterior boundary ring",
+          dest="exterior_label")
+    _flag(p, iterations_flag, bu.iterations,
+          "boundary ring width in morphology iterations")
+
+
+def _parameter(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
 def _build_parser():
     parser = _Parser(prog="segens", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="score probability maps against masks")
-    p.add_argument("--pred", nargs="+", default=None,
-                   help="probability-map files, aligned with --gt")
-    p.add_argument("--gt", nargs="+", default=None, help="ground-truth masks")
-    p.add_argument("--manifest", default=None,
+    p.add_argument("--pred", nargs="+", help="probability-map files, aligned with --gt")
+    p.add_argument("--gt", nargs="+", help="ground-truth masks")
+    p.add_argument("--manifest",
                    help="manifest file; uses each record's first pred path")
     p.add_argument("--split", default="test", choices=imageio.SPLITS,
                    help="manifest split to evaluate (default: test)")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="binarization threshold in [0,1] (default: 0.5)")
-    p.add_argument("--ci-n", type=int, default=None,
-                   help="CI sample count (default: image count)")
-    p.add_argument("--report", default=None,
-                   help="write the JSON report here (default: stdout)")
-    p.add_argument("--curves", default=None,
-                   help="write pooled curve points as CSV here")
+    _flag(p, "--threshold", _parameter(metrics.evaluate_pairs, "threshold"),
+          "binarization threshold in [0,1]")
+    p.add_argument("--ci-n", type=int, help="CI sample count (default: image count)")
+    p.add_argument("--report", help="write the JSON report here (default: stdout)")
+    p.add_argument("--curves", help="write pooled curve points as CSV here")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("fuse", help="fuse predicted masks or probability maps")
     p.add_argument("--method", required=True, choices=("and", "or", "max"))
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out", required=True, help="fused mask file")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="binarization threshold in [0,1] (default: 0.5)")
-    p.add_argument("--out-prob", default=None,
-                   help="also write the fused probability map (max only)")
+    _flag(p, "--threshold", _parameter(ensemble.binarize, "threshold"),
+          "binarization threshold in [0,1]")
+    p.add_argument("--out-prob", help="also write the fused probability map (max only)")
     p.set_defaults(handler=_cmd_fuse)
 
     p = sub.add_parser("stack", help="train or apply the stacking meta-learner")
@@ -80,35 +97,26 @@ def _build_parser():
     t.add_argument("--params", required=True, help="output params file (JSON)")
     t.add_argument("--train-split", default="train", choices=imageio.SPLITS)
     t.add_argument("--val-split", default="validation", choices=imageio.SPLITS)
-    t.add_argument("--epochs", type=int, default=20,
-               help="training epochs >= 0 (default: 20)")
-    t.add_argument("--learning-rate", type=float, default=1e-3,
-               help="initial Adam rate >= 0 (default: 1e-3)")
-    t.add_argument("--batch-size", type=int, default=4,
-               help="samples per update, >= 1 (default: 4)")
-    t.add_argument("--seed", type=int, default=0,
-               help="RNG seed (default: 0, fixed for reproducibility)")
-    t.add_argument("--lambda", dest="fn_weight", type=float, default=0.7,
-                   help="Tversky FN weight in [0,1] (default: 0.7)")
-    t.add_argument("--gamma", dest="focal_exponent", type=float, default=0.75,
-                   help="focal exponent > 0 (default: 0.75)")
-    t.add_argument("--zeta", dest="interior_label", type=float, default=0.9,
-                   help="soft label for the interior boundary ring")
-    t.add_argument("--omega", dest="exterior_label", type=float, default=0.1,
-                   help="soft label for the exterior boundary ring")
-    t.add_argument("--bu-iterations", type=int, default=1,
-                   help="boundary ring width in morphology iterations")
-    t.add_argument("--dice-target", type=float, default=None,
-                   help="stop early once train Dice exceeds this, in [0,1]")
-    t.add_argument("--run", default=None,
-                   help="training-history JSON (default: <params>.run.json)")
+    hyper, tversky = ensemble.HyperParams, TverskyConfig
+    _flag(t, "--epochs", hyper.epochs, "training epochs >= 0")
+    _flag(t, "--learning-rate", hyper.learning_rate, "initial Adam rate >= 0")
+    _flag(t, "--batch-size", hyper.batch_size, "samples per update, >= 1")
+    _flag(t, "--seed", hyper.seed, "RNG seed, fixed for reproducibility")
+    _flag(t, "--lambda", tversky.fn_weight, "Tversky FN weight in [0,1]",
+          dest="fn_weight")
+    _flag(t, "--gamma", tversky.focal_exponent, "focal exponent > 0",
+          dest="focal_exponent")
+    _boundary_flags(t, "--bu-iterations")
+    _flag(t, "--dice-target", hyper.dice_target,
+          "stop early once train Dice exceeds this, in [0,1]", type=float)
+    t.add_argument("--run", help="training-history JSON (default: <params>.run.json)")
     t.set_defaults(handler=_cmd_stack_train)
 
     q = stack_sub.add_parser("predict")
     q.add_argument("--manifest", required=True)
     q.add_argument("--params", required=True)
     q.add_argument("--outdir", required=True)
-    q.add_argument("--split", default=None, choices=imageio.SPLITS,
+    q.add_argument("--split", choices=imageio.SPLITS,
                    help="restrict to one split (default: all records)")
     q.set_defaults(handler=_cmd_stack_predict)
 
@@ -116,40 +124,32 @@ def _build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--out-manifest", required=True)
-    p.add_argument("--count", type=int, default=2000,
-               help="augmented pairs to generate, >= 0 (default: 2000)")
-    p.add_argument("--seed", type=int, default=0,
-               help="RNG seed (default: 0)")
-    p.add_argument("--rotation-min", type=float, default=5.0,
-               help="rotation magnitude lower bound in degrees (default: 5)")
-    p.add_argument("--rotation-max", type=float, default=10.0,
-               help="rotation magnitude upper bound in degrees (default: 10)")
-    p.add_argument("--zoom-min", type=float, default=0.8,
-               help="zoom factor lower bound > 0 (default: 0.8)")
-    p.add_argument("--zoom-max", type=float, default=1.4,
-               help="zoom factor upper bound (default: 1.4)")
-    p.add_argument("--mirror-prob", type=float, default=0.5,
-               help="mirror probability in [0,1] (default: 0.5)")
+    aug = augment_mod.AugmentConfig
+    _flag(p, "--count", aug.count, "augmented pairs to generate, >= 0")
+    _flag(p, "--seed", aug.seed, "RNG seed")
+    _flag(p, "--rotation-min", aug.rotation_degrees[0],
+          "rotation magnitude lower bound in degrees")
+    _flag(p, "--rotation-max", aug.rotation_degrees[1],
+          "rotation magnitude upper bound in degrees")
+    _flag(p, "--zoom-min", aug.zoom_factors[0], "zoom factor lower bound > 0")
+    _flag(p, "--zoom-max", aug.zoom_factors[1], "zoom factor upper bound")
+    _flag(p, "--mirror-prob", aug.mirror_probability, "mirror probability in [0,1]")
     p.add_argument("--format", default="pgm", choices=("pgm", "png"))
     p.set_defaults(handler=_cmd_augment)
 
     p = sub.add_parser("ci", help="confidence interval for a proportion-like score")
     p.add_argument("--dice", type=float, required=True,
                help="proportion-like score in [0,1]")
-    p.add_argument("--n", type=int, default=33,
-               help="effective sample count >= 1 (default: 33)")
+    _flag(p, "--n", 33, "effective sample count >= 1")  # the paper's test set
     p.add_argument("--method", default="wald", choices=("wald", "cp"))
-    p.add_argument("--level", type=float, default=0.95,
-               help="confidence level in (0,1) (default: 0.95)")
+    _flag(p, "--level", _parameter(stats.wald_ci, "level"), "confidence level in (0,1)")
     p.set_defaults(handler=_cmd_ci)
 
     p = sub.add_parser("bu-preview",
                        help="write the boundary-uncertainty soft labels of a mask")
     p.add_argument("--mask", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--zeta", dest="interior_label", type=float, default=0.9)
-    p.add_argument("--omega", dest="exterior_label", type=float, default=0.1)
-    p.add_argument("--iterations", type=int, default=1)
+    _boundary_flags(p, "--iterations")
     p.set_defaults(handler=_cmd_bu_preview)
     return parser
 
@@ -239,6 +239,14 @@ def _record_stack(record):
 
 
 def _cmd_stack_train(args):
+    # checked before the manifest is read, as augment does
+    hyper = ensemble.HyperParams(learning_rate=args.learning_rate, epochs=args.epochs,
+                                 batch_size=args.batch_size, seed=args.seed,
+                                 dice_target=args.dice_target)
+    tversky = TverskyConfig(fn_weight=args.fn_weight, focal_exponent=args.focal_exponent)
+    boundary = BoundaryUncertaintyConfig(interior_label=args.interior_label,
+                                         exterior_label=args.exterior_label,
+                                         iterations=args.bu_iterations)
     records = imageio.read_manifest(args.manifest)
     train_recs = [r for r in records if r.split == args.train_split]
     val_recs = [r for r in records if r.split == args.val_split]
@@ -257,16 +265,6 @@ def _cmd_stack_train(args):
             out.append((stack, imageio.load_mask(r.gtmask)))
         return out
 
-    hyper = ensemble.HyperParams(
-        learning_rate=args.learning_rate, epochs=args.epochs,
-        batch_size=args.batch_size, seed=args.seed,
-        dice_target=args.dice_target)
-    tversky = TverskyConfig(fn_weight=args.fn_weight,
-                            focal_exponent=args.focal_exponent)
-    boundary = BoundaryUncertaintyConfig(
-        interior_label=args.interior_label,
-        exterior_label=args.exterior_label,
-        iterations=args.bu_iterations)
     params, run = ensemble.train_metalearner(
         pairs(train_recs), pairs(val_recs), hyper=hyper, tversky=tversky,
         boundary=boundary)
@@ -325,10 +323,9 @@ def _cmd_ci(args):
 
 
 def _cmd_bu_preview(args):
-    config = BoundaryUncertaintyConfig(
-        interior_label=args.interior_label,
-        exterior_label=args.exterior_label,
-        iterations=args.iterations)
+    config = BoundaryUncertaintyConfig(interior_label=args.interior_label,
+                                       exterior_label=args.exterior_label,
+                                       iterations=args.iterations)
     mask = imageio.load_mask(args.mask)
     imageio.store_probmap(boundary_soft_labels(mask, config), args.out)
     return 0

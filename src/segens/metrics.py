@@ -278,7 +278,7 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     """
     check_range(threshold, "threshold", 0, 1)
     if ci_n is not None:
-        ci_n = check_int(ci_n, "ci_n", 1)
+        ci_n = check_int(ci_n, "ci_n", 1, stats.MAX_TRIALS)
 
     grid = default_threshold_grid()[::-1]  # strictly decreasing
     # the grid's cuts, then the threshold's

@@ -2,8 +2,11 @@
 contract."""
 
 import argparse
+import ast
 import inspect
 import json
+import math
+import re
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segens import augment, ensemble, imageio, metrics, stats
+from segens import augment, cli, ensemble, imageio, metrics, stats
 from segens.cli import _build_parser, main
 from segens.errors import NumericError
 from segens.losses import TverskyConfig
@@ -529,6 +532,24 @@ class TestCi:
                      "--method", method]) == 1
         assert "n must be in [1, " in capsys.readouterr().err
 
+    def test_clopper_pearson_endpoint_below_the_subnormals(self, capsys):
+        # the lower endpoint came out 4.44e-16, above the estimate, and the
+        # command exited 1 with "interval out of order"
+        assert main(["ci", "--dice", "1e-17", "--n", "33", "--method", "cp"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["lower"] == 0.0 < out["estimate"] < out["upper"]
+
+    def test_clopper_pearson_tiny_lower_endpoint(self, capsys):
+        # I_x(a, b) ~ x^a / (a B(a, b)) for small x gives 4.88e-51; it came
+        # out 4.44e-16
+        assert main(["ci", "--dice", "0.001", "--n", "33", "--method", "cp"]) == 0
+        a = 0.001 * 33
+        b = 33 - a + 1
+        beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        want = (0.025 * a * beta) ** (1 / a)
+        lower = json.loads(capsys.readouterr().out)["lower"]
+        assert lower == pytest.approx(want, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("exp", [15, 16, 20, 308])
     def test_clopper_pearson_past_its_trial_limit_exits_one(self, capsys,
                                                            exp):
@@ -685,6 +706,21 @@ class TestExitCodes:
         assert main(["eval", *inputs]) == 1
         assert "eval needs either --manifest or both --pred and --gt" in \
             capsys.readouterr().err
+
+    def test_eval_checks_ci_n_cap_before_reading(self, tmp_path, capsys):
+        # a missing prediction would exit 2; a --ci-n past the
+        # Clopper-Pearson cap was found only after every image was scored
+        assert main(["eval", "--pred", str(tmp_path / "absent.pgm"),
+                     "--gt", str(tmp_path / "absent-gt.pgm"),
+                     "--ci-n", "200000000"]) == 1
+        assert "ci_n must be in [1, 100000000.0]" in capsys.readouterr().err
+
+    def test_stack_train_checks_flags_before_reading(self, tmp_path, capsys):
+        # a missing manifest would exit 2; the bad flag is found first, as
+        # augment finds a bad --count
+        assert main(["stack", "train", "--manifest", str(tmp_path / "missing.tsv"),
+                     "--params", str(tmp_path / "p.json"), "--epochs", "-1"]) == 1
+        assert "epochs must be in [0, " in capsys.readouterr().err
 
     def test_manifest_record_without_prediction_is_one(self, tmp_path, rng,
                                                        capsys):
@@ -875,3 +911,45 @@ def test_cli_default_equals_library_default(argv, attr, want):
     # library; a run with the flag left out must get the library's value
     got = getattr(_build_parser().parse_args(argv), attr)
     assert got == want and type(got) is type(want), (got, want)
+
+
+@pytest.mark.parametrize("argv, attr, want", [c[:3] for c in _CLI_DEFAULTS],
+                         ids=[f"{c[0][0]} {c[1]}={c[3]}" for c in _CLI_DEFAULTS])
+def test_help_shows_each_library_default(argv, attr, want, capsys, monkeypatch):
+    # the subcommand's --help, whitespace collapsed and cut into one entry
+    # per option, shows the library's value as the flag's default
+    command = argv[:2] if argv[0] == "stack" else argv[:1]
+    parser = _build_parser()
+    for name in command:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    flag = next(a.option_strings[0] for a in parser._actions if a.dest == attr)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(command + ["--help"])
+    options = " ".join(capsys.readouterr().out.split()).split("options:")[1]
+    entry = next(e for e in re.split(r" (?=--[a-z])", options)
+                 if e.startswith(flag + " "))
+    assert f"(default: {want})" in entry, entry
+
+
+def test_parser_writes_no_library_default():
+    # every numeric default is read from the library definition that sets
+    # it; ci --n 33, the paper's test-set size, has no library counterpart
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    todo, seen, literals = ["_build_parser"], set(), []
+    while todo:  # the parser builder and every cli function it calls
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        nodes = list(ast.walk(functions[name]))
+        indices = {id(n.slice) for n in nodes if isinstance(n, ast.Subscript)}
+        for node in nodes:
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                todo.append(node.func.id)
+            elif (isinstance(node, ast.Constant) and id(node) not in indices
+                  and type(node.value) in (int, float)):
+                literals.append((node.lineno, node.value))
+    assert [v for _, v in literals] == [33], literals

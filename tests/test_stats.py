@@ -115,6 +115,28 @@ class TestClopperPearson:
         assert abs(cp.lower - wd.lower) < 1e-3 * width
         assert abs(cp.upper - wd.upper) < 1e-3 * width
 
+    @pytest.mark.parametrize("n", [33, 1000, 10**6])
+    def test_one_success_matches_its_closed_form(self, n):
+        # I_x(1, n) = 1 - (1 - x)^n; bisecting to an absolute 1e-15 left
+        # the 2.5e-8 endpoint at n = 1e6 wrong by 7e-9 of itself
+        want = -math.expm1(math.log1p(-0.025) / n)
+        assert clopper_pearson_ci(1, n).lower == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dice", [0.001, 0.003])
+    def test_tiny_lower_endpoint_matches_the_small_x_form(self, dice):
+        # I_x(a, b) ~ x^a / (a B(a, b)) for small x; the true endpoints are
+        # 4.9e-51 and 1.2e-18, and both came out 4.44e-16
+        k, n = dice * 33, 33
+        a, b = k, n - k + 1
+        beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        want = (0.025 * a * beta) ** (1 / a)
+        assert clopper_pearson_ci(k, n).lower == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_lower_endpoint_below_the_subnormals_is_zero(self):
+        # it came out 4.44e-16, above the estimate, and Interval raised
+        iv = clopper_pearson_ci(1e-17 * 33, 33)
+        assert iv.lower == 0.0 < iv.estimate < iv.upper
+
     @pytest.mark.parametrize("n", [10**8 + 1, 10**16, 1e300])
     def test_past_trial_limit_rejected(self, n):
         with pytest.raises(ValueError, match=r"n must be in \[1, 100000000"):
