@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -119,23 +118,23 @@ def augment_dataset(records, config, output_dir, image_format="pgm"):
         raise ValueError("manifest has no train records to augment")
     out_dir = Path(output_dir)
     ext = "." + image_format
-    draws = [sample_transform(config, k, len(train)) for k in range(config.count)]
     # Group the outputs by source, groups in order of first use, so the
     # defective source met first is the one output-index order meets first.
-    rank = {src: i for i, src in enumerate(dict.fromkeys(d[0] for d in draws))}
-    order = sorted(range(config.count), key=lambda k: rank[draws[k][0]])
-    for src_idx in rank:  # all checked before any file is read
+    groups = {}
+    for k in range(config.count):
+        src_idx, *transform = sample_transform(config, k, len(train))
+        groups.setdefault(src_idx, []).append((k, *transform))
+    for src_idx in groups:  # all checked before any file is read
         train[src_idx].require("image", "image")
         train[src_idx].require("gtmask", "ground-truth mask")
     added = [None] * config.count
-    for src_idx, group in groupby(order, key=lambda k: draws[k][0]):
+    for src_idx, group in groups.items():
         rec = train[src_idx]
         src_img = load_gray(rec.image)
         src_msk = load_mask(rec.gtmask)
         check_shape(src_img.shape, f"image {rec.image}",
                     src_msk.shape, f"mask {rec.gtmask}")
-        for k in group:
-            _, mirrored, angle, factor = draws[k]
+        for k, mirrored, angle, factor in group:
             img, msk = (mirror(src_img, src_msk) if mirrored
                         else (src_img, src_msk))
             img, msk = rotate(img, msk, angle)

@@ -154,13 +154,6 @@ def _build_parser():
     return parser
 
 
-def _emit(text, path=None):
-    if path is None:
-        print(text)
-    else:
-        Path(path).write_text(text + ("\n" if not text.endswith("\n") else ""))
-
-
 def _load_eval_inputs(args):
     if args.manifest is not None:
         records = [r for r in imageio.read_manifest(args.manifest)
@@ -192,7 +185,10 @@ def _cmd_eval(args):
                                            ci_n=args.ci_n)
     if args.curves:
         metrics.write_curve_csv(curve, args.curves)
-    _emit(report.to_json(), args.report)
+    if args.report is None:
+        print(report.to_json())
+    else:
+        Path(args.report).write_text(report.to_json() + "\n")
     return 0
 
 
@@ -312,12 +308,13 @@ def _cmd_augment(args):
 
 
 def _cmd_ci(args):
+    dice = check_range(args.dice, "proportion", 0, 1)  # as typed, not dice * n
     if args.method == "wald":
-        interval = stats.wald_ci(args.dice, args.n, level=args.level)
+        interval = stats.wald_ci(dice, args.n, level=args.level)
     else:
         # checked before dice * n, which overflows past float range
         n = stats.check_trials(args.n)
-        interval = stats.clopper_pearson_ci(args.dice * n, n, level=args.level)
+        interval = stats.clopper_pearson_ci(dice * n, n, level=args.level)
     print(json.dumps(interval.to_dict(), indent=2))
     return 0
 

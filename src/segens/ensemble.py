@@ -33,7 +33,7 @@ from .errors import (DecodeError, NumericError, ShapeMismatchError,
                      require_2d, require_chw)
 from .imageio import load_feature_stack, store_feature_stack
 from .losses import TverskyConfig, focal_tversky_loss
-from .metrics import _at_least, confusion, scalar_metrics
+from .metrics import _at_least, confusion, scalar_metrics, undefined_metrics
 from .morpho import BoundaryUncertaintyConfig, boundary_soft_labels
 from .ndtensor import (AdamState, ConvKernel, _backward, _check_channels,
                        _correlate, _out_dtype, _param_grads, adam_step,
@@ -61,14 +61,12 @@ def _image_list(masks):
 
 def fuse_and(masks):
     """Pixel on iff every input pixel is on (> 0)."""
-    stack = np.stack([m > 0 for m in _image_list(masks)])
-    return stack.all(axis=0).astype(np.uint8)
+    return np.logical_and.reduce([m > 0 for m in _image_list(masks)]).astype(np.uint8)
 
 
 def fuse_or(masks):
     """Pixel on iff at least one input pixel is on (> 0)."""
-    stack = np.stack([m > 0 for m in _image_list(masks)])
-    return stack.any(axis=0).astype(np.uint8)
+    return np.logical_or.reduce([m > 0 for m in _image_list(masks)]).astype(np.uint8)
 
 
 def binarize(probmap, threshold=0.5):
@@ -270,7 +268,7 @@ def _hard_dice(prediction, gt_mask):
     # both masks empty scores 1.0, not metrics' 0/0 -> 0, so that a
     # dice_target can be met on empty samples
     c = confusion(binarize(prediction), gt_mask)
-    return scalar_metrics(c)["dice"] if c.tp + c.fp + c.fn else 1.0
+    return 1.0 if "dice" in undefined_metrics(c) else scalar_metrics(c)["dice"]
 
 
 def _prepare_pairs(pairs, boundary, what, channels):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -49,28 +50,20 @@ _FST_MAGIC = b"FST1"
 # ---------------------------------------------------------------------------
 # PGM (binary "P5", 8-bit)
 
+# a header token, after any run of space, tab, CR and LF bytes and of '#'
+# comments, each to its LF or to EOF; empty where the header ends
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]+|#[^\n]*\n?)*([^ \t\r\n]*)")
+
+
 def _decode_pgm(data, path=None):
     if data[:2] != b"P5":
         flavor = data[:2].decode("latin-1", "replace")
         raise DecodeError(f"expected binary PGM magic 'P5', found {flavor!r}",
                           offset=0, path=path)
     pos = 2
-    values = []
-    starts = []
-    while len(values) < 3:
-        # skip whitespace and '#' comment lines
-        while pos < len(data):
-            c = data[pos]
-            if c in b" \t\r\n":
-                pos += 1
-            elif c == ord("#"):
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and data[pos] not in b" \t\r\n":
-            pos += 1
+    values, starts = [], []
+    for _ in range(3):
+        start, pos = _PGM_TOKEN.match(data, pos).span(1)
         token = data[start:pos]
         if not token:
             raise DecodeError("truncated PGM header", offset=start, path=path)

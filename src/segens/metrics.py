@@ -37,9 +37,6 @@ from . import stats
 from .errors import (as_binary, check_int, check_probabilities, check_range,
                      check_shape)
 
-_METRIC_NAMES = ("iou", "dice", "precision", "recall")
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int
@@ -78,25 +75,21 @@ def _ratio(num, den):
     return num / den if den > 0 else 0.0
 
 
+def _fractions(c):
+    """Each scalar metric's (numerator, denominator), in report order."""
+    return {"iou": (c.tp, c.tp + c.fp + c.fn),
+            "dice": (2 * c.tp, 2 * c.tp + c.fp + c.fn),
+            "precision": (c.tp, c.tp + c.fp),
+            "recall": (c.tp, c.tp + c.fn)}
+
+
 def scalar_metrics(counts):
-    return {
-        "iou": _ratio(counts.tp, counts.tp + counts.fp + counts.fn),
-        "dice": _ratio(2 * counts.tp, 2 * counts.tp + counts.fp + counts.fn),
-        "precision": _ratio(counts.tp, counts.tp + counts.fp),
-        "recall": _ratio(counts.tp, counts.tp + counts.fn),
-    }
+    return {name: _ratio(*f) for name, f in _fractions(counts).items()}
 
 
 def undefined_metrics(counts):
     """Names of metrics whose denominator is zero for these counts."""
-    out = []
-    if counts.tp + counts.fp + counts.fn == 0:
-        out.extend(["iou", "dice"])
-    if counts.tp + counts.fp == 0:
-        out.append("precision")
-    if counts.tp + counts.fn == 0:
-        out.append("recall")
-    return out
+    return [name for name, (_, den) in _fractions(counts).items() if den == 0]
 
 
 def dice_from_iou(iou):
@@ -217,14 +210,13 @@ _MATCH_TALLIES = {"TP": ConfusionCounts(1, 0, 0, 0), "FP": ConfusionCounts(0, 1,
                   "FP+FN": ConfusionCounts(0, 1, 1, 0)}
 
 
-def _match_label(c):
-    """The whole-mask outcome from the pixel tallies of the pair: the
-    intersection is tp and the union tp + fp + fn."""
-    if c.tp + c.fp == 0:
+def _match_label(c, iou):
+    """The whole-mask outcome of a pair from its pixel tallies and IoU."""
+    if c.tp + c.fp == 0:  # nothing predicted
         return "FN" if c.fn else "TN"
-    if c.tp + c.fn == 0:
+    if c.tp + c.fn == 0:  # nothing to find
         return "FP"
-    return "TP" if c.tp / (c.tp + c.fp + c.fn) > _MATCH_IOU else "FP+FN"
+    return "TP" if iou > _MATCH_IOU else "FP+FN"
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +289,10 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
         c = ConfusionCounts(int(fg_hits[-1]), int(bg_hits[-1]),
                             int(fg.size - fg_hits[-1]), int(bg.size - bg_hits[-1]))
         pooled = pooled + c
-        label = _match_label(c)
+        scores = scalar_metrics(c)
+        label = _match_label(c, scores["iou"])
         match_tally = match_tally + _MATCH_TALLIES[label]
-        per_image.append({"index": idx, **scalar_metrics(c), **c.to_dict(),
+        per_image.append({"index": idx, **scores, **c.to_dict(),
                           "mask_match": label})
     n_fg, n_bg = pooled.tp + pooled.fn, pooled.fp + pooled.tn
     recall = np.array([_ratio(t, n_fg) for t in tp])
@@ -313,12 +306,9 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     wald = stats.wald_ci(aggregate["dice"], n)
     cp = stats.clopper_pearson_ci(aggregate["dice"] * n, n)
     macro = {name: math.fsum(r[name] for r in per_image) / len(per_image)
-             for name in _METRIC_NAMES}
+             for name in aggregate}
     return MetricReport(
-        iou=aggregate["iou"],
-        dice=aggregate["dice"],
-        precision=aggregate["precision"],
-        recall=aggregate["recall"],
+        **aggregate,
         map11=map11(curve),
         auroc=auroc(curve),
         ci={"n": n, "wald": wald.to_dict(), "clopper_pearson": cp.to_dict()},

@@ -526,6 +526,15 @@ class TestCi:
         assert main(["ci", "--dice", "1.5", "--n", "33"]) == 1
 
     @pytest.mark.parametrize("method", ["wald", "cp"])
+    @pytest.mark.parametrize("dice", ["1.5", "-0.1", "nan"])
+    def test_dice_checked_as_the_proportion(self, capsys, method, dice):
+        # cp named dice * n, a value never typed: "successes must be in
+        # [0, 33], got 49.5"
+        assert main(["ci", "--dice", dice, "--n", "33", "--method", method]) == 1
+        assert (f"proportion must be in [0, 1], got {float(dice)}\n"
+                == capsys.readouterr().err.removeprefix("segens: invalid input: "))
+
+    @pytest.mark.parametrize("method", ["wald", "cp"])
     def test_n_past_float_range_exits_one(self, capsys, method):
         # a 401-digit count overflowed on its conversion to float
         assert main(["ci", "--dice", "0.5", "--n", str(10**400),
@@ -907,8 +916,8 @@ _CLI_DEFAULTS = list(_cli_defaults())
 @pytest.mark.parametrize("argv, attr, want", [c[:3] for c in _CLI_DEFAULTS],
                          ids=[f"{c[0][0]} {c[1]}={c[3]}" for c in _CLI_DEFAULTS])
 def test_cli_default_equals_library_default(argv, attr, want):
-    # each default is written twice, once in the parser and once in the
-    # library; a run with the flag left out must get the library's value
+    # the parser reads each default from the library; a run with the flag
+    # left out must get the library's value, of the library's type
     got = getattr(_build_parser().parse_args(argv), attr)
     assert got == want and type(got) is type(want), (got, want)
 

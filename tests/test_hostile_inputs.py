@@ -185,6 +185,24 @@ def test_unknown_critical_png_chunk_rejected(tmp_path, ctype):
     assert np.array_equal(imageio.load_gray(path), np.zeros((2, 2), np.uint8))
 
 
+# (file loaded, file made bad, its bytes, loader); a model is saved first,
+# so the last case's loader reads the header and then a bad tensor file
+@pytest.mark.parametrize("read, bad, data, load", [
+    ("a.pgm", "a.pgm", b"P5 2 x 255\n", imageio.load_gray),
+    ("a.png", "a.png", b"\x89PNG\r\n\x1a\n" + bytes(8), imageio.load_gray),
+    ("a.fst", "a.fst", b"FST2", imageio.load_feature_stack),
+    ("a.tsv", "a.tsv", b"train\t\xff\n", imageio.read_manifest),
+    ("model.json", "model.json", b'{"format": ', ensemble.load_metalearner),
+    ("model.json", "model.json.layer2.weights.fst", b"FST2",
+     ensemble.load_metalearner)])
+def test_decode_error_names_the_file_it_read(tmp_path, read, bad, data, load):
+    ensemble.save_metalearner(ensemble.build_metalearner(1), tmp_path / "model.json")
+    (tmp_path / bad).write_bytes(data)
+    with pytest.raises(DecodeError) as e:
+        load(tmp_path / read)
+    assert Path(e.value.path).resolve() == (tmp_path / bad).resolve()
+
+
 # command -> (manifest lines, the first input path it reads, extra argv)
 _MANIFEST_COMMANDS = {
     "eval": (["test\t\tg0.pgm\tp0.pgm", "test\t\tg1.pgm\tp1.pgm"], "p0.pgm",

@@ -82,6 +82,37 @@ class TestPgm:
             load_gray(path)
         assert e.value.offset == len(b"P5\n3 1\n1\n") + 2
 
+    # a header token is a run of bytes other than space, tab, CR and LF;
+    # '#' outside a token starts a comment that runs to the next LF or EOF
+    @pytest.mark.parametrize("data, message, offset", [
+        (b"P5", "truncated PGM header", 2),
+        (b"P5 2 1 #c", "truncated PGM header", 9),  # comment runs to EOF
+        (b"P5\n2#c\n1 255\n\x01\x02", "bad PGM header token b'2#c'", 3),
+        (b"P5 2 x 255\n\x00\x00", "bad PGM header token b'x'", 5),
+        (b"P5 -2 1 255 ", "bad PGM dimensions -2x1", 3),
+        (b"P5 2 1 0 ", "unsupported maxval 0 (8-bit only)", 7),
+        # no byte after maxval: the raster starts one past EOF
+        (b"P5 2 1 255", "truncated PGM raster: expected 2 bytes, found 0", 11),
+        (b"P5\n2 1\n255\n", "truncated PGM raster: expected 2 bytes, found 0", 11)])
+    def test_header_error_message_and_offset(self, tmp_path, data, message,
+                                             offset):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DecodeError) as e:
+            load_gray(path)
+        assert (e.value.args[0], e.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize("data, want", [
+        (b"P5\r2\r1\r255\r\x01\x02", [[1, 2]]),  # CR separates tokens
+        (b"P5#c\n2 1\n255\n\x01\x02", [[1, 2]]),  # comment right after the magic
+        (b"P5 2 1 #c\r3\n255\n\x01\x02", [[1, 2]]),  # only LF ends a comment
+        (b"P5 2 1 255\n# x", [[35, 32]]),  # the raster may start with '#'
+        (b"P5 1_0 1 255 " + bytes(10), [[0] * 10])])  # int() reads 1_0 as 10
+    def test_header_tokens(self, tmp_path, data, want):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        assert load_gray(path).tolist() == want
+
     def test_color_ppm_rejected(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

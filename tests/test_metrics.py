@@ -94,6 +94,22 @@ class TestScalarMetrics:
         assert all(v == 0.0 for v in m.values())
         assert set(undefined_metrics(c)) == {"iou", "dice", "precision", "recall"}
 
+    # each zero denominator, with the report's zero_division list, in the
+    # report's metric order
+    @pytest.mark.parametrize("pred, gt, want", [
+        ([0, 0], [0, 0], ["iou", "dice", "precision", "recall"]),
+        ([0, 0], [0, 1], ["precision"]),
+        ([1, 0], [0, 0], ["recall"]),
+        ([1, 0], [1, 0], [])])
+    def test_undefined_metrics_in_report_order(self, pred, gt, want):
+        gt = np.array([gt], np.uint8)
+        assert undefined_metrics(confusion(np.array([pred], np.uint8), gt)) == want
+        report, _ = evaluate_pairs([np.array([pred], np.float64)], [gt])
+        assert report.zero_division == want
+        names = ["iou", "dice", "precision", "recall"]
+        assert list(report.to_dict())[:4] == list(report.macro) == names
+        assert list(report.per_image[0])[1:5] == names
+
     def test_published_pair(self):
         m = scalar_metrics(ConfusionCounts(tp=3896, fp=3052, fn=3052, tn=0))
         assert abs(m["iou"] - 0.3896) < 1e-4

@@ -55,6 +55,45 @@ class TestIncompleteBeta:
             assert abs(regularized_incomplete_beta(x, a, b)
                        + regularized_incomplete_beta(1 - x, b, a) - 1.0) < 1e-12
 
+    # I_x(a, b) bit for bit at x half a standard deviation (at most half
+    # the gap to 0 or 1) on each side of the continued fraction's switch
+    # point (a + 1) / (a + b + 2): below it the fraction runs on (x, a, b),
+    # above it on (1 - x, b, a); at a, b = 1e8 it stops after 300 terms
+    @pytest.mark.parametrize("a, b, below, above", [
+        (0.001, 0.001, "0x1.ff7063e0202d3p-2", "0x1.0047ce0fefe96p-1"),
+        (0.001, 0.5, "0x1.feea4c5c0800cp-1", "0x1.fef9ad3473b7cp-1"),
+        (0.001, 33.0, "0x1.ffdf7015ff610p-1", "0x1.ffe1260e038c1p-1"),
+        (0.001, 1e4, "0x1.ffe27af0afde2p-1", "0x1.ffe400f9359edp-1"),
+        (0.001, 1e8, "0x1.ffe27e3aa5b7ep-1", "0x1.ffe4035d46079p-1"),
+        (0.5, 0.001, "0x1.0652cb8c4838cp-9", "0x1.15b3a3f7ff000p-9"),
+        (0.5, 0.5, "0x1.8a366ef2e64b6p-2", "0x1.3ae4c8868cda5p-1"),
+        (0.5, 33.0, "0x1.b5d74de3639a3p-1", "0x1.e1495f790a814p-1"),
+        (0.5, 1e4, "0x1.bd6e758555c70p-1", "0x1.e43fdb97659d6p-1"),
+        (0.5, 1e8, "0x1.bd74e188299dep-1", "0x1.e4425be03afefp-1"),
+        (33.0, 0.001, "0x1.ed9f1fc73ecb9p-13", "0x1.047f5004f8000p-12"),
+        (33.0, 0.5, "0x1.eb6a086f57ec0p-5", "0x1.28a2c8727197cp-3"),
+        (33.0, 33.0, "0x1.3dcdfdf171af5p-2", "0x1.6119010747280p-1"),
+        (33.0, 1e4, "0x1.9104390a1ba34p-2", "0x1.850d34078f7c1p-1"),
+        (33.0, 1e8, "0x1.91784bc8a4170p-2", "0x1.85372ce492730p-1"),
+        (1e4, 0.001, "0x1.bff06ca6121adp-13", "0x1.d850f50214000p-13"),
+        (1e4, 0.5, "0x1.bc024689a60fep-5", "0x1.0a4629eaa99e8p-3"),
+        (1e4, 33.0, "0x1.ebcb2fe1c21f2p-3", "0x1.377de37af2228p-1"),
+        (1e4, 1e4, "0x1.3bf2d9cc50d4cp-2", "0x1.62069319d7974p-1"),
+        (1e4, 1e8, "0x1.40794c5db9c8fp-2", "0x1.6444cd45900b8p-1"),
+        (1e8, 0.001, "0x1.bfca2b9daed2cp-13", "0x1.d81c55597d000p-13"),
+        (1e8, 0.5, "0x1.bbda4214f184ap-5", "0x1.0a2c79fdef68cp-3"),
+        (1e8, 33.0, "0x1.eb234c6d24329p-3", "0x1.3743da1ccb0edp-1"),
+        (1e8, 1e4, "0x1.37766574cc71bp-2", "0x1.5fc359d0d18bcp-1"),
+        (1e8, 1e8, "0x1.3bf13f26943f2p-2", "0x1.6207606cb5e07p-1")])
+    def test_pinned_values_on_both_branches(self, a, b, below, above):
+        switch = (a + 1.0) / (a + b + 2.0)
+        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+        lo = max(switch - sd / 2, switch / 2)
+        hi = min(switch + sd / 2, (1.0 + switch) / 2)
+        assert lo < switch < hi
+        assert regularized_incomplete_beta(lo, a, b).hex() == below
+        assert regularized_incomplete_beta(hi, a, b).hex() == above
+
     def test_quantile_residuals(self):
         for a, b in ((2.0, 3.0), (10.0, 24.0), (0.5, 0.5), (33.0, 1.0)):
             for q in (0.025, 0.2, 0.5, 0.8, 0.975):
