@@ -231,7 +231,7 @@ def _record_stack(record):
         check_shape(part.shape[1:],
                     f"record {record.image or record.gtmask!r} stacked input {i}",
                     parts[0].shape[1:], "stacked input 0")
-    return np.concatenate(parts, axis=0).astype(np.float32), mode
+    return np.concatenate(parts, axis=0).astype(np.float32, copy=False), mode
 
 
 def _cmd_stack_train(args):

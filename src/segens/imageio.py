@@ -9,17 +9,17 @@ Pixel data conventions used throughout the package:
 
 Masks and probability maps travel as binary 8-bit PGM ("P5") or 8-bit
 grayscale PNG files; feature stacks use the FST container: the 4-byte
-magic ``FST1``, one UTF-8 text line ``"C H W\\n"`` with the decimal dims,
+magic ``FST1``, one ASCII line ``"C H W\\n"`` with the decimal dims,
 then C*H*W little-endian IEEE-754 float32 values in channel-major
 row-major order.
 
-PNG files are 8-bit grayscale and non-interlaced; the decoder rejects
-critical chunks other than IHDR, IDAT and IEND. None rows unfilter all
-at once and other rows one at a time, except a long run of filtered
-rows with many Average or Paeth rows: it unfilters as an anti-diagonal
-wavefront, each diagonal a few numpy calls that read a 523 KB table of
-predictions. Beyond the raster it holds only vectors of one entry per
-row.
+PNG files are 8-bit grayscale and non-interlaced, IHDR first and once;
+the decoder rejects critical chunks other than IHDR, IDAT and IEND.
+None rows unfilter all at once and other rows one at a time, except a
+long run of filtered rows with many Average or Paeth rows: it unfilters
+as an anti-diagonal wavefront, each diagonal a few numpy calls. Both
+read each Average and Paeth prediction from one 523 KB table. Beyond
+the raster the decoder holds only vectors of one entry per row.
 
 Manifests are tab-separated text, one record per line:
 ``split<TAB>image<TAB>gtmask<TAB>pred1,pred2,...<TAB>fst1,fst2,...``
@@ -47,6 +47,14 @@ _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 _FST_MAGIC = b"FST1"
 
 
+def _decimal(token):
+    """A header integer, ASCII decimal digits only: int() alone would also
+    take a sign, '_' separators and other scripts' digits."""
+    if not token.isdigit():  # bytes.isdigit: b"0"-b"9" only, and non-empty
+        raise ValueError(token)
+    return int(token)
+
+
 # ---------------------------------------------------------------------------
 # PGM (binary "P5", 8-bit)
 
@@ -68,7 +76,7 @@ def _decode_pgm(data, path=None):
         if not token:
             raise DecodeError("truncated PGM header", offset=start, path=path)
         try:
-            values.append(int(token))
+            values.append(_decimal(token))
         except ValueError:
             raise DecodeError(f"bad PGM header token {token!r}",
                               offset=start, path=path) from None
@@ -103,29 +111,22 @@ def _decode_pgm(data, path=None):
 # PNG (8-bit grayscale, color type 0, non-interlaced)
 
 def _unfilter_row(ftype, line, prev):
-    """One Average (3) or Paeth (4) scanline's bytes from its filtered
-    bytes and the row above, as a loop over the Python ints of bytes,
-    several times cheaper than numpy scalars."""
+    """One Average (3) or Paeth (4) scanline from its filtered bytes and
+    the row above: a loop over Python ints (numpy scalars cost several times
+    more) that reads _pred_table(), 49 us per 256 pixels on a 2-vCPU Xeon."""
+    table, mult, offset = _pred_table().data, int(_MULT[ftype]), int(_OFFSET[ftype])
     vals = []
-    left = upleft = 0
-    if ftype == 3:
-        for x, up in zip(line, prev):
-            left = (x + ((left + up) >> 1)) & 255
-            vals.append(left)
-        return bytes(vals)
-    for x, up in zip(line, prev):
-        p = left + up - upleft
-        pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
-        pred = left if pa <= pb and pa <= pc else (up if pb <= pc else upleft)
-        left = (x + pred) & 255
-        vals.append(left)
-        upleft = up
+    a = c = 0  # the left and upper-left neighbours
+    for x, b in zip(line, prev):
+        a = (x + c + table[(a - c) * mult + b - c + offset]) & 255
+        vals.append(a)
+        c = b
     return bytes(vals)
 
 
 # With a, b, c the left, upper and upper-left neighbours, every filter's
 # (prediction - c) mod 256 is a function of (a - c, b - c), each in
-# [-255, 255]: a - c for Sub, b - c for Up, (a - c + b - c) >> 1 for
+# [-255, 255]: a - c for Sub, b - c for Up, floor((a - c + b - c) / 2) for
 # Average, and one of a - c, b - c or 0 for Paeth. _pred_table() holds
 # it as a 511x511 block each for Sub and Paeth, then a ramp over
 # a - c + b - c for Average and one over b - c for Up. A row of filter
@@ -135,9 +136,9 @@ _MULT = np.array([0, 511, 0, 1, 511], np.intp)
 _OFFSET = np.array([0, 255 * 512, 2 * _BLOCK + 1021 + 255, 2 * _BLOCK + 510,
                     _BLOCK + 255 * 512], np.intp)
 # A span takes the wavefront when its Average and Paeth pixels exceed
-# this many per diagonal step. One step costs about as much as 35 Paeth
-# or 70 Average pixels of _unfilter_row (measured at widths 64 to 1024),
-# so a span takes it once it is about twice as fast for Paeth rows.
+# this many per diagonal step. One step costs about as much as 38 Paeth
+# or Average pixels of _unfilter_row at widths 64 to 256 (60 at 1024, on
+# a 2-vCPU Xeon), so a span takes it once it is about 1.7 times as fast.
 _STEP_PIXELS = 64
 
 
@@ -181,19 +182,19 @@ def _unfilter_wavefront(src, out, ftypes, r0, r1):
     In the flat raster a diagonal is a slice with step width - 1, and its
     left, upper and upper-left neighbours are the same slice moved back
     by 1, width and width + 1; in ``src`` the diagonal has step width.
-    Column 0 (a = c = 0) is decoded first, so the diagonals start at x = 1
-    and every neighbour lies within its row.
+    Column 0 (a = c = 0: table entry b + _OFFSET[f]) is decoded first, so
+    the diagonals start at x = 1 and every neighbour lies within its row.
     """
     n, w = r1 - r0, out.shape[1]
     flat = out.reshape(-1)
     types = ftypes[r0:r1]
-    col, col0 = int(flat[(r0 - 1) * w]), []
-    for f, x in zip(types.tolist(), src[r0 * (w + 1) + 1:r1 * (w + 1):w + 1].tolist()):
-        col = (x + (0, 0, col, col >> 1, col)[f]) & 255  # Paeth predicts b here
-        col0.append(col)
-    flat[r0 * w:r1 * w:w] = col0
     table = _pred_table()
     mult, offset = _MULT[types], _OFFSET[types]
+    col, col0, view = int(flat[(r0 - 1) * w]), [], table.data
+    for off, x in zip(offset.tolist(), src[r0 * (w + 1) + 1::w + 1][:n].tolist()):
+        col = (x + view[col + off]) & 255
+        col0.append(col)
+    flat[r0 * w:r1 * w:w] = col0
     # g holds diagonal d - 1 from row lo - 1 down: b, then a, of each row;
     # gp holds diagonal d - 2 from row plo - 1 down: c of each row
     g, gp = np.empty(min(n, w) + 1, np.intp), np.empty(min(n, w) + 1, np.intp)
@@ -255,7 +256,7 @@ def _decode_png(data, path=None):
     if data[:8] != _PNG_SIG:
         raise DecodeError("bad PNG signature", offset=0, path=path)
     pos = 8
-    width = height = idat_at = None  # idat_at: the first IDAT chunk's offset
+    idat_at = None  # the first IDAT chunk's offset
     idat = bytearray()
     while True:
         if pos + 8 > len(data):
@@ -270,6 +271,9 @@ def _decode_png(data, path=None):
         (crc,) = struct.unpack(">I", data[dend:dend + 4])
         if zlib.crc32(data[pos + 4:dend]) & 0xFFFFFFFF != crc:
             raise DecodeError("PNG chunk CRC mismatch", offset=dend, path=path)
+        if (ctype == b"IHDR") != (pos == 8):
+            raise DecodeError("PNG IHDR must come first and only once; found "
+                              f"{ctype.decode('latin-1')!r}", offset=pos, path=path)
         if ctype == b"IHDR":
             if length != 13:
                 raise DecodeError(f"PNG IHDR has {length} bytes (need 13)",
@@ -304,8 +308,6 @@ def _decode_png(data, path=None):
             raise DecodeError(f"unknown critical PNG chunk {ctype.decode('latin-1')!r}",
                               offset=pos, path=path)
         pos = dend + 4
-    if width is None:
-        raise DecodeError("PNG missing IHDR", offset=8, path=path)
     if idat_at is None:
         raise DecodeError("PNG has no IDAT chunk", offset=pos, path=path)
     expected = (width + 1) * height
@@ -434,8 +436,8 @@ def load_feature_stack(path):
     if nl < 0:
         raise DecodeError("FST dims line missing newline", offset=4, path=path)
     try:
-        dims = [int(t) for t in data[4:nl].decode("utf-8").split()]
-    except (UnicodeDecodeError, ValueError):
+        dims = [_decimal(t) for t in data[4:nl].split()]
+    except ValueError:
         raise DecodeError("unparseable FST dims line", offset=4, path=path) from None
     if len(dims) != 3 or any(d <= 0 for d in dims):
         raise DecodeError(f"bad FST dims {dims}", offset=4, path=path)

@@ -48,10 +48,6 @@ class ConfusionCounts:
         for name in ("tp", "fp", "fn", "tn"):
             check_int(getattr(self, name), name, 0)
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
     def __add__(self, other):
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
                                self.fn + other.fn, self.tn + other.tn)

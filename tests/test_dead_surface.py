@@ -4,8 +4,10 @@ settable value has a reader that sets it.
 
 A name counts as read when it appears, outside its own definition, in
 package code, in a benchmark script (``perfbench/*.py``) or in the
-acceptance checks (``tests/test_acceptance.py``). A name that only its
-own unit tests call is library surface no workflow reaches.
+acceptance checks (``tests/test_acceptance.py``); a method or property
+only as an attribute (``x.name``), since a bare ``name`` there is some
+other variable. A name that only its own unit tests call is library
+surface no workflow reaches.
 
 A settable value is a defaulted parameter of a public function or
 method, or a defaulted field of a public dataclass. One of the same
@@ -59,15 +61,16 @@ def _public_definitions():
 
 
 def _references(path):
-    """(name, line) of every name, attribute and import in ``path``."""
+    """(name, line, is an attribute) of every name, attribute and import
+    in ``path``."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                yield alias.name, node.lineno
+                yield alias.name, node.lineno, False
 
 
 def _readers():
@@ -79,8 +82,10 @@ def _unread():
     refs = {path: list(_references(path)) for path in _readers()}
     for path, qualname, node in _public_definitions():
         own = range(node.lineno, node.end_lineno + 1)
-        if not any(name == node.name and not (reader == path and line in own)
-                   for reader, found in refs.items() for name, line in found):
+        method = "." in qualname
+        if not any(name == node.name and (attr or not method)
+                   and not (reader == path and line in own)
+                   for reader, found in refs.items() for name, line, attr in found):
             yield path.stem, qualname
 
 

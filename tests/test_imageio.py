@@ -11,6 +11,7 @@ import pytest
 
 from _oracles import filter_scanline, unfilter_reference
 from segens import imageio
+from segens.cli import main
 from segens.errors import DecodeError, NumericError
 from segens.imageio import (ManifestRecord, load_feature_stack, load_gray,
                             load_mask, load_probmap, read_manifest, sample,
@@ -83,13 +84,20 @@ class TestPgm:
         assert e.value.offset == len(b"P5\n3 1\n1\n") + 2
 
     # a header token is a run of bytes other than space, tab, CR and LF;
-    # '#' outside a token starts a comment that runs to the next LF or EOF
+    # '#' outside a token starts a comment that runs to the next LF or EOF;
+    # the three integers are ASCII decimal, with no sign or '_'
     @pytest.mark.parametrize("data, message, offset", [
         (b"P5", "truncated PGM header", 2),
         (b"P5 2 1 #c", "truncated PGM header", 9),  # comment runs to EOF
         (b"P5\n2#c\n1 255\n\x01\x02", "bad PGM header token b'2#c'", 3),
         (b"P5 2 x 255\n\x00\x00", "bad PGM header token b'x'", 5),
-        (b"P5 -2 1 255 ", "bad PGM dimensions -2x1", 3),
+        (b"P5 -2 1 255 ", "bad PGM header token b'-2'", 3),
+        (b"P5 1_0 1 255 " + bytes(10), "bad PGM header token b'1_0'", 3),
+        (b"P5 +2 1 255 \x00\x00", "bad PGM header token b'+2'", 3),
+        (b"P5 2 1 +255 \x00\x00", "bad PGM header token b'+255'", 7),
+        # int() would strip the vertical tab and form feed
+        (b"P5 2\x0b 1 255 \x00\x00", "bad PGM header token b'2\\x0b'", 3),
+        (b"P5 2 \x0c1 255 \x00\x00", "bad PGM header token b'\\x0c1'", 5),
         (b"P5 2 1 0 ", "unsupported maxval 0 (8-bit only)", 7),
         # no byte after maxval: the raster starts one past EOF
         (b"P5 2 1 255", "truncated PGM raster: expected 2 bytes, found 0", 11),
@@ -107,7 +115,7 @@ class TestPgm:
         (b"P5#c\n2 1\n255\n\x01\x02", [[1, 2]]),  # comment right after the magic
         (b"P5 2 1 #c\r3\n255\n\x01\x02", [[1, 2]]),  # only LF ends a comment
         (b"P5 2 1 255\n# x", [[35, 32]]),  # the raster may start with '#'
-        (b"P5 1_0 1 255 " + bytes(10), [[0] * 10])])  # int() reads 1_0 as 10
+        (b"P5 02 1 0255 \x01\x02", [[1, 2]])])  # leading zeros are decimal
     def test_header_tokens(self, tmp_path, data, want):
         path = tmp_path / "h.pgm"
         path.write_bytes(data)
@@ -362,6 +370,26 @@ class TestPng:
             load_gray(path)
         assert e.value.offset == self.IDAT_AT
 
+    # IHDR comes first and once; without that rule these files decode, as
+    # a 1x1 and a 4x1 image
+    @pytest.mark.parametrize("chunks, offset, found", [
+        ([(b"tEXt", b"k\x00v"), (b"IHDR", struct.pack(">IIBBBBB", 1, 1, 8, 0, 0, 0, 0)),
+          (b"IDAT", zlib.compress(b"\x00\x07"))], 8, "tEXt"),
+        ([(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0)),
+          (b"IHDR", struct.pack(">IIBBBBB", 4, 1, 8, 0, 0, 0, 0)),
+          (b"IDAT", zlib.compress(b"\x00\x07\x07\x07\x07"))], 33, "IHDR")])
+    def test_ihdr_first_and_once(self, tmp_path, chunks, offset, found):
+        path = tmp_path / "order.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + b"".join(
+            _png_chunk(ctype, payload) for ctype, payload in chunks)
+            + _png_chunk(b"IEND", b""))
+        with pytest.raises(DecodeError) as e:
+            load_gray(path)
+        assert e.value.args[0] == ("PNG IHDR must come first and only once; "
+                                   f"found {found!r}")
+        assert (e.value.offset, e.value.path) == (offset, path)
+        assert main(["eval", "--pred", str(path), "--gt", str(path)]) == 2
+
     def test_crc_mismatch_detected(self, tmp_path, rng):
         img = rng.integers(0, 256, (4, 4), dtype=np.uint8)
         good = bytearray(_build_png(img, (0,)))
@@ -465,6 +493,18 @@ class TestFst:
         with pytest.raises(DecodeError, match="non-finite") as e:
             load_feature_stack(path)
         assert e.value.offset == len(b"FST1" + b"1 2 2\n") + 8  # the third value
+
+    # the dims are ASCII decimal: int() alone would take a sign, '_' and
+    # other scripts' digits; each payload fits the dims int() would read
+    @pytest.mark.parametrize("dims, floats", [
+        ("\u0663 2 2".encode(), 12), (b"3 2 2_0", 120), (b"+1 1 1", 1),
+        (b"-1 1 1", 1), (b"1 1 1\xff", 1)])
+    def test_dims_are_ascii_decimal(self, tmp_path, dims, floats):
+        path = tmp_path / "dims.fst"
+        path.write_bytes(b"FST1" + dims + b"\n" + bytes(4 * floats))
+        with pytest.raises(DecodeError) as e:
+            load_feature_stack(path)
+        assert (e.value.args[0], e.value.offset) == ("unparseable FST dims line", 4)
 
     def test_store_rejects_non_finite(self, tmp_path):
         # the one non-finite contract: NumericError (exit 4), no file written

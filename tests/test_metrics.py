@@ -57,7 +57,8 @@ class TestConfusion:
         rng = np.random.default_rng(51)
         pred = (rng.random((9, 9)) > 0.3).astype(np.uint8)
         gt = (rng.random((9, 9)) > 0.7).astype(np.uint8)
-        assert confusion(pred, gt).total == 81
+        counts = confusion(pred, gt)
+        assert counts.tp + counts.fp + counts.fn + counts.tn == 81
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
