@@ -106,21 +106,24 @@ def as_binary(x, name):
     2-D, ValueError unless every value is 0 or 1."""
     arr = require_2d(x, name)
     mask = arr.astype(bool)
-    if not np.array_equal(arr, mask):  # equal only where every value is 0 or 1
+    # an unsigned max <= 1 means all 0/1; other dtypes equal their bool copy only then
+    if not (arr.max() <= 1 if arr.dtype.kind in "bu" else np.array_equal(arr, mask)):
         raise ValueError(f"{name} must contain only 0/1 values (each pixel 0 or 1)")
     return mask
 
 
-def check_probabilities(p, name, top=1):
-    """Raise unless ``p`` is a non-empty array of finite numbers in [0, top].
-
-    An empty array raises ShapeMismatchError, non-finite values
-    NumericError, finite ones outside [0, top] ValueError. min and max
-    propagate NaN, so they cover both value checks.
-    """
-    check_nonempty(p, name, "is empty")
-    lo, hi = float(np.min(p)), float(np.max(p))
+def check_bounds(lo, hi, name, top=1):
+    """NumericError unless ``lo`` and ``hi``, the least and greatest values
+    of ``name``, are finite; ValueError unless they are in [0, top]."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite values")
     if lo < 0.0 or hi > top:
         raise ValueError(f"{name} has values outside [0, {top}]")
+
+
+def check_probabilities(p, name, top=1):
+    """Raise unless ``p`` is a non-empty array of finite numbers in [0, top]:
+    ShapeMismatchError if it is empty, else as ``check_bounds``, to which
+    min and max pass any NaN."""
+    check_nonempty(p, name, "is empty")
+    check_bounds(float(np.min(p)), float(np.max(p)), name, top)

@@ -387,7 +387,7 @@ def store_gray(image, path):
 
 def load_mask(path):
     """Load a binary mask: intensity > 127 is foreground."""
-    return (load_gray(path) > 127).astype(np.uint8)
+    return np.greater(load_gray(path), 127).view(np.uint8)
 
 
 def store_mask(mask, path):
@@ -397,7 +397,7 @@ def store_mask(mask, path):
 
 def load_probmap(path):
     """Load a probability map stored as 8-bit intensities (value/255)."""
-    return load_gray(path).astype(np.float32) / np.float32(255.0)
+    return np.divide(load_gray(path), np.float32(255), dtype=np.float32)
 
 
 def store_probmap(probmap, path):

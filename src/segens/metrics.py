@@ -7,15 +7,16 @@ Scalar metrics derive from hard confusion counts:
 
 0/0 cases return 0 by convention and are flagged in the report.
 Curves pool pixels across the whole image set (micro-averaging); at each
-threshold t the prediction is binarized as p >= t. Each image's
-foreground and background pixels are sorted once and binary-searched
-for every curve threshold and the report's hard threshold together, so
-its confusion counts and its share of the curve come from one search. A
-float32 map is searched in float32, for the least float32 at or above
-t, so every count equals the one its float64 copy would give. The
-11-point mAP is the mean over recall levels {0.0, 0.1, ..., 1.0} of the
-interpolated precision (the best precision among curve points whose
-recall reaches the level), and AUROC is the trapezoid over (FPR, TPR).
+threshold t the prediction is binarized as p >= t. Each image's map and
+its foreground are sorted once and binary-searched for every curve
+threshold and the report's hard threshold together (background hits are
+the map's less the foreground's), so its confusion counts and its share
+of the curve come from one search. A float32 map is searched in
+float32, for the least float32 at or above t, so every count equals the
+one its float64 copy would give. The 11-point mAP is the mean over
+recall levels {0.0, 0.1, ..., 1.0} of the interpolated precision (the
+best precision among curve points whose recall reaches the level), and
+AUROC is the trapezoid over (FPR, TPR).
 
 The report's ``mask_level`` block tallies whole masks: each thresholded
 prediction is matched against its ground truth at IoU 0.5 (strict
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stats
-from .errors import (as_binary, check_int, check_probabilities, check_range,
-                     check_shape)
+from .errors import (as_binary, check_bounds, check_int, check_nonempty,
+                     check_range, check_shape)
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -143,11 +144,12 @@ def _at_least(t, dtype):
 
 
 def _checked_pairs(predictions, ground_truths):
-    """Yield each input pair, checked once, as (prediction, bool mask),
-    reading both iterables in step. A float32 or float64 prediction keeps
-    its dtype, which callers search for ``_at_least`` cuts so that
-    counts equal the float64 counts; any other dtype becomes float64.
-    ValueError when either runs out first or both are empty."""
+    """Yield each input pair, checked once, as (prediction, bool mask,
+    sorted prediction values), reading both iterables in step; the sorted
+    ends, where NaN sorts last, are the range check. A float32 or float64
+    prediction keeps its dtype, which callers search for ``_at_least``
+    cuts so that counts equal the float64 counts; any other dtype becomes
+    float64. ValueError when either runs out first or both are empty."""
     gts = iter(ground_truths)
     count = 0
     for idx, p in enumerate(predictions):
@@ -157,10 +159,12 @@ def _checked_pairs(predictions, ground_truths):
         p = np.asarray(p)
         if p.dtype not in _SCORED:
             p = p.astype(np.float64)
-        check_probabilities(p, f"prediction {idx}")
+        check_nonempty(p, f"prediction {idx}", "is empty")
+        every = np.sort(p, axis=None)
+        check_bounds(float(every[0]), float(every[-1]), f"prediction {idx}")
         gb = as_binary(g, f"ground truth {idx}")
         check_shape(p.shape, f"prediction {idx}", gb.shape, f"ground truth {idx}")
-        yield p, gb
+        yield p, gb, every
         count += 1
     if next(gts, _END) is not _END:
         raise ValueError(f"more ground truths than the {count} predictions")
@@ -251,13 +255,14 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     """Full evaluation of probability maps against hard masks.
 
     ``predictions`` and ``ground_truths`` are iterables (lists or
-    generators) read once, in step. Each pair is checked, and its
-    foreground and background pixels are sorted and binary-searched for
-    the cuts of the 101 grid thresholds and of ``threshold``: the last
-    cut gives the image's confusion counts, the others add to the pooled
-    curve's tallies. The pair is dropped before the next is read, so
-    memory holds one image plus the threshold grid and the per-image
-    rows. The first defective pair in input order raises.
+    generators) read once, in step. Each pair is checked, and sorted
+    copies of the map and its foreground are binary-searched for the cuts
+    of the 101 grid thresholds and of ``threshold`` (background hits are
+    the map's less the foreground's): the last cut gives the image's
+    confusion counts, the others add to the pooled curve's tallies. The
+    pair is dropped before the next is read, so memory holds one image
+    plus the threshold grid and the per-image rows. The first defective
+    pair in input order raises.
     Aggregate scalars come from pooled pixel counts at ``threshold``;
     per-image (macro) means are reported alongside. Confidence intervals
     for the aggregate Dice treat it as a proportion over ``ci_n`` trials
@@ -274,16 +279,17 @@ def evaluate_pairs(predictions, ground_truths, threshold=0.5, ci_n=None):
     tp = fp = 0  # pooled pixels at or above each grid cut
     per_image = []
     pooled = match_tally = ConfusionCounts(0, 0, 0, 0)
-    for idx, (p, gb) in enumerate(_checked_pairs(predictions, ground_truths)):
-        fg, bg = p[gb], p[~gb]  # fresh copies, so they sort in place
+    for idx, (p, gb, every) in enumerate(_checked_pairs(predictions, ground_truths)):
+        fg = p[gb]  # a fresh copy, so it sorts in place
         fg.sort()
-        bg.sort()
-        fg_hits = fg.size - np.searchsorted(fg, cuts[p.dtype], side="left")
-        bg_hits = bg.size - np.searchsorted(bg, cuts[p.dtype], side="left")
+        cut = cuts[p.dtype]
+        fg_hits = fg.size - np.searchsorted(fg, cut, side="left")
+        bg_hits = every.size - np.searchsorted(every, cut, side="left") - fg_hits
         tp = tp + fg_hits[:-1]
         fp = fp + bg_hits[:-1]
         c = ConfusionCounts(int(fg_hits[-1]), int(bg_hits[-1]),
-                            int(fg.size - fg_hits[-1]), int(bg.size - bg_hits[-1]))
+                            int(fg.size - fg_hits[-1]),
+                            int(every.size - fg.size - bg_hits[-1]))
         pooled = pooled + c
         scores = scalar_metrics(c)
         label = _match_label(c, scores["iou"])

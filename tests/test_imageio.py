@@ -415,12 +415,22 @@ class TestProbMap:
         assert abs(load_probmap(path)[0, 0] - 128 / 255) < 1e-7
 
     def test_every_level_loads_as_its_float32_ratio(self, tmp_path):
-        path = tmp_path / "levels.pgm"
-        store_gray(np.arange(256, dtype=np.uint8)[None, :], path)
-        back = load_probmap(path)
-        assert back.dtype == np.float32
-        want = np.arange(256, dtype=np.float32) / np.float32(255)
-        assert back.tobytes() == want.tobytes()
+        # one pixel per sample value, at the full and at a short maxval;
+        # the mask is read from the same levels
+        for maxval in (255, 7):
+            path = tmp_path / f"levels{maxval}.pgm"
+            path.write_bytes(b"P5\n%d 1\n%d\n" % (maxval + 1, maxval)
+                             + bytes(range(maxval + 1)))
+            levels = load_gray(path)
+            assert (np.diff(levels.astype(int)) > 0).all()  # all 256 at 255
+            back = load_probmap(path)
+            assert back.dtype == np.float32
+            want = levels.astype(np.float32) / np.float32(255)
+            assert back.tobytes() == want.tobytes()
+            mask = load_mask(path)
+            assert mask.dtype == np.uint8 and mask.flags.writeable
+            assert np.array_equal(mask, levels > 127)
+            assert set(np.unique(mask).tolist()) == {0, 1}
 
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

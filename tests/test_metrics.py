@@ -10,7 +10,7 @@ import pytest
 
 from segens.augment import mirror
 from segens.ensemble import fuse_and, fuse_max, train_metalearner
-from segens.errors import NumericError, ShapeMismatchError
+from segens.errors import NumericError, ShapeMismatchError, as_binary
 from segens.imageio import (store_feature_stack, store_gray, store_mask,
                             store_probmap)
 from segens.losses import mean_absolute_error
@@ -64,9 +64,11 @@ class TestConfusion:
         with pytest.raises(ShapeMismatchError):
             confusion(np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8))
 
-    @pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan])
+    @pytest.mark.parametrize("bad", [
+        2, 0.5, -1, np.nan, pytest.param(np.uint8(2), id="uint8-2"),
+        pytest.param(np.uint8(255), id="uint8-255")])
     def test_non_binary_values_rejected(self, bad):
-        gt = np.eye(3)
+        gt = np.eye(3, dtype=bad.dtype if isinstance(bad, np.generic) else float)
         gt[2, 0] = bad
         with pytest.raises(ValueError, match="gt must contain only 0/1"):
             confusion(np.eye(3, dtype=np.uint8), gt)
@@ -75,6 +77,9 @@ class TestConfusion:
     def test_binary_values_of_any_dtype_accepted(self, dtype):
         m = np.eye(3, dtype=dtype)
         assert confusion(m, m) == ConfusionCounts(3, 0, 0, 6)
+        for view in (m, m[:, ::2]):  # contiguous, and a strided slice
+            mask = as_binary(view, "m")
+            assert mask.dtype == bool and np.array_equal(mask, view != 0)
 
 
 class TestScalarMetrics:
@@ -439,6 +444,26 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError, match=r"prediction 1 .*\[0, 1\]"):
             evaluate_pairs(preds, gts)
 
+    @pytest.mark.parametrize("pred, gt, error, message", [
+        (np.zeros((0, 3)), np.full((3, 3), 2), ShapeMismatchError,
+         "prediction 1 is empty"),
+        (np.full((3, 3), np.nan), np.full((3, 3), 2), NumericError,
+         "prediction 1 contains non-finite"),
+        (np.full((3, 3), 1.7), np.zeros((4, 4)), ValueError,
+         r"prediction 1 has values outside \[0, 1\]"),
+        (np.full((3, 3), 0.5), np.full((4, 4), 2), ValueError,
+         "ground truth 1 must contain only 0/1")],
+        ids=["empty-before-mask", "nan-before-mask", "range-before-shape",
+             "mask-before-shape"])
+    def test_first_check_a_pair_fails_raises(self, pred, gt, error, message):
+        # each pair has two defects; the checks run: empty map, map values,
+        # mask values, shapes
+        preds, gts = self._fixture(3)
+        preds[1], gts[1] = pred, gt
+        with pytest.raises(error, match=message) as exc:
+            evaluate_pairs(preds, gts)
+        assert type(exc.value) is error
+
     def test_threshold_grid_is_101_points(self):
         assert default_threshold_grid().size == 101
         preds, gts = self._fixture(2)
@@ -488,8 +513,8 @@ class TestStoredDtype:
             want_curve.precision, want_curve.recall, want_curve.tpr, want_curve.fpr))
 
     def test_float32_maps_are_not_widened(self):
-        # a float64 copy of one 256x256 map is 512 KB, and its foreground
-        # and background copies another 512 KB
+        # a float64 copy of one 256x256 map is 512 KB, and its sorted copy
+        # and sorted foreground another 512 KB or more
         rng = np.random.default_rng(62)
         gts = [(rng.random((256, 256)) > 0.6).astype(np.uint8) for _ in range(3)]
         preds = [rng.random((256, 256), dtype=np.float32) for _ in range(3)]
