@@ -170,8 +170,6 @@ def _load_eval_inputs(args):
     if len(pred_paths) != len(gt_paths):
         raise ValueError(f"{len(pred_paths)} predictions vs "
                          f"{len(gt_paths)} ground-truth masks")
-    if not pred_paths:
-        raise ValueError("no images to evaluate")
     return pred_paths, gt_paths
 
 
@@ -356,3 +354,7 @@ def main(argv=None):
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

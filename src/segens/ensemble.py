@@ -289,8 +289,9 @@ def _prepare_pairs(pairs, boundary, what, channels):
     return out
 
 
-def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
-                      boundary=None):
+def train_metalearner(train_pairs, val_pairs=(), hyper=HyperParams(),
+                      tversky=TverskyConfig(),
+                      boundary=BoundaryUncertaintyConfig()):
     """Mini-batch Adam descent on the focal Tversky + soft-boundary loss.
 
     ``train_pairs`` and ``val_pairs`` are sequences of (stack, gt_mask).
@@ -301,9 +302,6 @@ def train_metalearner(train_pairs, val_pairs=(), hyper=None, tversky=None,
     epochs without improvement, and training stops early once the
     monitored train Dice exceeds ``dice_target`` (when set).
     """
-    hyper = hyper or HyperParams()
-    tversky = tversky or TverskyConfig()
-    boundary = boundary or BoundaryUncertaintyConfig()
     train_pairs = list(train_pairs)
     if not train_pairs:
         raise ValueError("training set is empty")

@@ -112,18 +112,18 @@ def as_binary(x, name):
     return mask
 
 
-def check_bounds(lo, hi, name, top=1):
+def check_bounds(lo, hi, name):
     """NumericError unless ``lo`` and ``hi``, the least and greatest values
-    of ``name``, are finite; ValueError unless they are in [0, top]."""
+    of ``name``, are finite; ValueError unless they are in [0, 1]."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite values")
-    if lo < 0.0 or hi > top:
-        raise ValueError(f"{name} has values outside [0, {top}]")
+    if lo < 0.0 or hi > 1:
+        raise ValueError(f"{name} has values outside [0, 1]")
 
 
-def check_probabilities(p, name, top=1):
-    """Raise unless ``p`` is a non-empty array of finite numbers in [0, top]:
+def check_probabilities(p, name):
+    """Raise unless ``p`` is a non-empty array of finite numbers in [0, 1]:
     ShapeMismatchError if it is empty, else as ``check_bounds``, to which
     min and max pass any NaN."""
     check_nonempty(p, name, "is empty")
-    check_bounds(float(np.min(p)), float(np.max(p)), name, top)
+    check_bounds(float(np.min(p)), float(np.max(p)), name)

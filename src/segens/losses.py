@@ -18,10 +18,10 @@ meta-learner.
 
 The mixed loss weighs structural dissimilarity against mean absolute
 error: 0.84 * (1 - MS-SSIM) + 0.16 * MAE. MS-SSIM uses an 11x11
-Gaussian window (sigma 1.5), 2x2 mean-pool downsampling, the usual five
-scale weights (the first ``scales`` of them, renormalized), and
-stabilizers C1 = (0.01 L)^2, C2 = (0.03 L)^2 with dynamic range L = 1;
-uint8 inputs are rescaled by 1/255 to match.
+Gaussian window (sigma 1.5), 2x2 mean-pool downsampling over five
+scales with the usual weights, so each side needs at least 176 pixels,
+and stabilizers C1 = (0.01 L)^2, C2 = (0.03 L)^2 with dynamic range
+L = 1; uint8 inputs are rescaled by 1/255 to match.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (check_int, check_nonempty, check_range, check_shape,
-                     require_2d)
+from .errors import check_nonempty, check_range, check_shape, require_2d
 from .morpho import boundary_soft_labels
 
 _SMOOTH = 1e-6
@@ -53,14 +52,6 @@ class TverskyConfig:
         check_range(self.focal_exponent, "focal_exponent", 0, lo_open=True)
 
 
-@dataclass(frozen=True)
-class MixedLossConfig:
-    scales: int = 5
-
-    def __post_init__(self):
-        check_int(self.scales, "scales", 1, len(_SCALE_WEIGHTS))
-
-
 def _soft_counts(target, prediction):
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(prediction, dtype=np.float64)
@@ -72,7 +63,7 @@ def _soft_counts(target, prediction):
     return tp, fn, fp
 
 
-def tversky_index(target, prediction, fn_weight=0.7):
+def tversky_index(target, prediction, fn_weight):
     check_range(fn_weight, "fn_weight", 0, 1)
     tp, fn, fp = _soft_counts(target, prediction)
     return (tp + _SMOOTH) / (tp + fn_weight * fn + (1.0 - fn_weight) * fp + _SMOOTH)
@@ -84,27 +75,26 @@ def dice_soft(target, prediction):
     return tversky_index(target, prediction, fn_weight=0.5)
 
 
-def focal_tversky_loss(target, prediction, config=None):
+def focal_tversky_loss(target, prediction, config=TverskyConfig()):
     """(1 - TI) ** focal_exponent and its gradient w.r.t. the prediction.
 
     Returns (loss, grad) with grad a float64 array of the prediction's
     shape. At a perfect prediction the loss sits at its minimum and the
     gradient is reported as zero.
     """
-    cfg = config or TverskyConfig()
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(prediction, dtype=np.float64)
     tp, fn, fp = _soft_counts(t, p)
     num = tp + _SMOOTH
-    den = tp + cfg.fn_weight * fn + (1.0 - cfg.fn_weight) * fp + _SMOOTH
+    den = tp + config.fn_weight * fn + (1.0 - config.fn_weight) * fp + _SMOOTH
     ti = num / den
     base = 1.0 - ti
     if base <= 0.0:
         return 0.0, np.zeros_like(p)
-    loss = base ** cfg.focal_exponent
+    loss = base ** config.focal_exponent
     # d(TI)/dp_i = (t_i * den - num * (1 - fn_weight)) / den^2
-    dti = (t * den - num * (1.0 - cfg.fn_weight)) / (den * den)
-    grad = -cfg.focal_exponent * base ** (cfg.focal_exponent - 1.0) * dti
+    dti = (t * den - num * (1.0 - config.fn_weight)) / (den * den)
+    grad = -config.focal_exponent * base ** (config.focal_exponent - 1.0) * dti
     return loss, grad
 
 
@@ -154,32 +144,24 @@ def mean_absolute_error(a, b):
     return float(np.abs(x - y).mean())
 
 
-def msssim(a, b, config=None):
+def msssim(a, b):
     """Multi-scale structural similarity in [0, 1]; 1.0 iff identical."""
-    cfg = config or MixedLossConfig()
     x, y = _unit_pair(a, b)
-    min_size = _WINDOW.size * 2 ** (cfg.scales - 1)
+    min_size = _WINDOW.size * 2 ** (len(_SCALE_WEIGHTS) - 1)
     if min(x.shape) < min_size:
         raise ValueError(
-            f"image {x.shape} too small for {cfg.scales} scales with an "
-            f"11x11 window; needs at least {min_size}x{min_size}")
-    weights = list(_SCALE_WEIGHTS[:cfg.scales])
-    if cfg.scales < len(_SCALE_WEIGHTS):
-        total = sum(weights)
-        weights = [w / total for w in weights]
+            f"image {x.shape} too small for {len(_SCALE_WEIGHTS)} scales with "
+            f"an 11x11 window; needs at least {min_size}x{min_size}")
     value = 1.0
-    for level in range(cfg.scales):
-        luminance, contrast = _ssim_maps(x, y)
-        if level == cfg.scales - 1:
-            factor = float((luminance * contrast).mean())
-        else:
-            factor = float(contrast.mean())
-            x = _halve(x)
-            y = _halve(y)
-        value *= max(factor, 0.0) ** weights[level]
+    for weight in _SCALE_WEIGHTS[:-1]:
+        _, contrast = _ssim_maps(x, y)
+        value *= max(float(contrast.mean()), 0.0) ** weight
+        x, y = _halve(x), _halve(y)
+    luminance, contrast = _ssim_maps(x, y)
+    value *= max(float((luminance * contrast).mean()), 0.0) ** _SCALE_WEIGHTS[-1]
     return min(max(value, 0.0), 1.0)
 
 
-def mixed_loss(a, b, config=None):
+def mixed_loss(a, b):
     """0.84 * (1 - MS-SSIM) + 0.16 * MAE."""
-    return 0.84 * (1.0 - msssim(a, b, config)) + 0.16 * mean_absolute_error(a, b)
+    return 0.84 * (1.0 - msssim(a, b)) + 0.16 * mean_absolute_error(a, b)

@@ -70,18 +70,17 @@ class BoundaryUncertaintyConfig:
         check_int(self.iterations, "iterations", 1)
 
 
-def boundary_soft_labels(mask, config=None):
+def boundary_soft_labels(mask, config=BoundaryUncertaintyConfig()):
     """Turn a hard {0,1} mask into boundary-aware soft labels (float32).
 
     Output values are drawn from {0, exterior_label, interior_label, 1}:
     deep interior stays 1, far background stays 0.
     """
-    cfg = config or BoundaryUncertaintyConfig()
     m = as_binary(mask, "mask")
-    grown = dilate(m, iterations=cfg.iterations)
-    kept = erode(m, iterations=cfg.iterations)
+    grown = dilate(m, iterations=config.iterations)
+    kept = erode(m, iterations=config.iterations)
     out = np.zeros(m.shape, dtype=np.float32)
     out[m] = 1.0
-    out[m & ~kept] = np.float32(cfg.interior_label)
-    out[grown & ~m] = np.float32(cfg.exterior_label)
+    out[m & ~kept] = np.float32(config.interior_label)
+    out[grown & ~m] = np.float32(config.exterior_label)
     return out

@@ -6,7 +6,10 @@ import ast
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -89,6 +92,20 @@ class TestEval:
         assert main(["eval", "--manifest", str(mpath),
                      "--report", str(report)]) == 0
         assert json.loads(report.read_text())["image_count"] == 3
+
+    def test_manifest_split_without_records_exits_one(self, tmp_path, capsys):
+        # the one record is in another split, and its files do not exist:
+        # reading either would exit 2
+        mpath = tmp_path / "m.tsv"
+        imageio.write_manifest([imageio.ManifestRecord(
+            "train", "", str(tmp_path / "gt.pgm"), (str(tmp_path / "p.pgm"),))],
+            mpath)
+        report = tmp_path / "r.json"
+        assert main(["eval", "--manifest", str(mpath),
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "segens: invalid input: need at least one prediction/ground-truth pair\n")
+        assert not report.exists()
 
 
 class TestFuse:
@@ -468,6 +485,24 @@ class TestModelHeader:
                      "--outdir", str(tmp_path / "preds")]) == 2
         assert not (tmp_path / "preds").exists()
 
+    def test_other_kernel_size_exits_two(self, tmp_path, rng, capsys):
+        # layer 0's header and weights agree on a 5x5 kernel; the network's is 3x3
+        mpath = make_stack_manifest(tmp_path, rng, n_train=1, n_val=0)
+        model = tmp_path / "model" / "params.json"
+        ensemble.save_metalearner(ensemble.build_metalearner(2, seed=0), model)
+        meta = json.loads(model.read_text())
+        spec = meta["layers"][0]
+        spec["kernel_h"] = spec["kernel_w"] = 5
+        imageio.store_feature_stack(np.ones((256, 2 * 5, 5), np.float32),
+                                    model.parent / spec["weights_file"])
+        model.write_text(json.dumps(meta))
+        assert main(["stack", "predict", "--manifest", str(mpath),
+                     "--params", str(model),
+                     "--outdir", str(tmp_path / "preds")]) == 2
+        assert ("not the meta-learner's architecture: layer 0 kernel must be 3x3, "
+                "got (5, 5)") in capsys.readouterr().err
+        assert not (tmp_path / "preds").exists()
+
     @pytest.mark.parametrize("failing", range(11))
     def test_failed_save_never_loads_a_mix(self, tmp_path, rng, monkeypatch,
                                            failing):
@@ -524,6 +559,21 @@ class TestCi:
 
     def test_invalid_numeric_input_exits_one(self):
         assert main(["ci", "--dice", "1.5", "--n", "33"]) == 1
+
+    def test_module_runs_as_a_script(self, capsys):
+        # README's no-install route: the module must run the command when
+        # run with -m, not only import
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        ok, bad = (subprocess.run(
+            [sys.executable, "-m", "segens.cli", "ci", "--dice", dice, "--n", "33"],
+            env=env, capture_output=True, text=True, timeout=120)
+            for dice in ("0.5", "2"))
+        assert main(["ci", "--dice", "0.5", "--n", "33"]) == 0
+        assert (ok.returncode, ok.stdout) == (0, capsys.readouterr().out)
+        interval = json.loads(ok.stdout)
+        assert interval["lower"] < interval["estimate"] < interval["upper"]
+        assert (bad.returncode, bad.stdout, bad.stderr) == (
+            1, "", "segens: invalid input: proportion must be in [0, 1], got 2.0\n")
 
     @pytest.mark.parametrize("method", ["wald", "cp"])
     @pytest.mark.parametrize("dice", ["1.5", "-0.1", "nan"])

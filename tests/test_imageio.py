@@ -101,7 +101,8 @@ class TestPgm:
         (b"P5 2 1 0 ", "unsupported maxval 0 (8-bit only)", 7),
         # no byte after maxval: the raster starts one past EOF
         (b"P5 2 1 255", "truncated PGM raster: expected 2 bytes, found 0", 11),
-        (b"P5\n2 1\n255\n", "truncated PGM raster: expected 2 bytes, found 0", 11)])
+        (b"P5\n2 1\n255\n", "truncated PGM raster: expected 2 bytes, found 0", 11),
+        (b"P5 0 2 255 ", "bad PGM dimensions 0x2", 3)])
     def test_header_error_message_and_offset(self, tmp_path, data, message,
                                              offset):
         path = tmp_path / "h.pgm"
@@ -129,27 +130,24 @@ class TestPgm:
 
 
 class TestStoreGray:
-    # [[300, -1], [2.7, 7]] used to be written as 44, 255, 2, 7, and NaN as
-    # 0 with only a RuntimeWarning
+    # uint8 only: every other dtype raises before a file exists, whatever
+    # its values; [[300, -1], [2.7, 7]] must not be written as 44, 255, 2, 7
     @pytest.mark.parametrize("suffix", [".pgm", ".png"])
     @pytest.mark.parametrize("bad, error", [
         ([[300, -1], [2.7, 7]], ValueError), ([[300, 1]], ValueError),
         ([[-1, 1]], ValueError), ([[2.5, 1]], ValueError),
-        ([[math.nan, 1]], NumericError), ([[math.inf, 1]], NumericError)])
+        ([[math.nan, 1]], ValueError), ([[math.inf, 1]], ValueError),
+        (np.array([[0, 255]], np.uint16), ValueError),
+        (np.array([[0, 127]], np.int8), ValueError),
+        (np.array([[0, 255]], np.float32), ValueError),
+        (np.array([[0, 1]], bool), ValueError)])
     def test_values_that_do_not_fit_a_byte_write_nothing(self, tmp_path, bad,
                                                          error, suffix):
         path = tmp_path / f"g{suffix}"
-        with pytest.raises(error):
-            store_gray(np.array(bad), path)
+        bad = np.asarray(bad)
+        with pytest.raises(error, match=f"^image must be uint8, got {bad.dtype}$"):
+            store_gray(bad, path)
         assert not path.exists()
-
-    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, bool])
-    def test_integral_values_written_as_bytes(self, tmp_path, dtype):
-        want = np.array([[0, 1], [1, 0]] if dtype is bool else [[0, 255], [7, 128]],
-                        np.uint8)
-        store_gray(want.astype(dtype), tmp_path / "g.pgm")
-        store_gray(want, tmp_path / "u8.pgm")
-        assert (tmp_path / "g.pgm").read_bytes() == (tmp_path / "u8.pgm").read_bytes()
 
 
 def _png_chunk(ctype, payload):
@@ -314,6 +312,22 @@ class TestPng:
         with pytest.raises(DecodeError, match="bad PNG dimensions") as e:
             load_gray(path)
         assert e.value.offset == 16  # IHDR payload: signature + chunk header
+
+    @pytest.mark.parametrize("fields, message, offset", [
+        ((1, 0, 0), "unsupported PNG compression/filter method", 26),
+        ((0, 1, 0), "unsupported PNG compression/filter method", 26),
+        ((0, 0, 1), "interlaced PNG not supported", 28)],
+        ids=["compression", "filter", "interlace"])
+    def test_unsupported_ihdr_method_reports_its_offset(self, tmp_path, fields,
+                                                        message, offset):
+        header = struct.pack(">IIBBBBB", 1, 1, 8, 0, *fields)
+        path = tmp_path / "method.png"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", header)
+                         + _png_chunk(b"IDAT", zlib.compress(b"\x00\x00"))
+                         + _png_chunk(b"IEND", b""))
+        with pytest.raises(DecodeError) as e:
+            load_gray(path)
+        assert (e.value.args[0], e.value.offset) == (message, offset)
 
     def test_oversized_idat_is_not_inflated(self, tmp_path):
         # 64 MiB of zeros behind a 2x2 header; only 6 bytes are expected
@@ -515,6 +529,14 @@ class TestFst:
         with pytest.raises(DecodeError) as e:
             load_feature_stack(path)
         assert (e.value.args[0], e.value.offset) == ("unparseable FST dims line", 4)
+
+    @pytest.mark.parametrize("dims, floats", [(b"2 2", 4), (b"0 2 2", 0)])
+    def test_dims_are_three_positive_integers(self, tmp_path, dims, floats):
+        path = tmp_path / "dims.fst"
+        path.write_bytes(b"FST1" + dims + b"\n" + bytes(4 * floats))
+        with pytest.raises(DecodeError, match="^bad FST dims ") as e:
+            load_feature_stack(path)
+        assert e.value.offset == 4
 
     def test_store_rejects_non_finite(self, tmp_path):
         # the one non-finite contract: NumericError (exit 4), no file written

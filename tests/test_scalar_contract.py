@@ -185,8 +185,6 @@ INT_SITES = [
      lambda v: morpho.BoundaryUncertaintyConfig(iterations=v), "iterations", 1),
     ("dilate", lambda v: morpho.dilate(_G, iterations=v), "iterations", 1),
     ("erode", lambda v: morpho.erode(_G, iterations=v), "iterations", 1),
-    ("MixedLossConfig.scales", lambda v: losses.MixedLossConfig(scales=v),
-     "scales", 1),
     ("evaluate_pairs.ci_n",
      lambda v: metrics.evaluate_pairs([_G], [_G], ci_n=v), "ci_n", 1),
 ]
@@ -210,15 +208,15 @@ def test_integer_below_its_range_rejected(call, name, least):
 
 
 def test_integer_above_its_range_rejected():
-    with pytest.raises(ValueError, match=r"^scales must be in \[1, 5\], got 6"):
-        losses.MixedLossConfig(scales=6)
+    with pytest.raises(ValueError,
+                       match=r"^ci_n must be in \[1, 100000000.0\], got 100000001$"):
+        metrics.evaluate_pairs([_G], [_G], ci_n=10**8 + 1)
 
 
 def test_least_integers_accepted():
     ensemble.HyperParams(epochs=0, batch_size=1, seed=0, plateau_patience=1)
     augment.AugmentConfig(count=0, seed=0)
     morpho.BoundaryUncertaintyConfig(iterations=1)
-    losses.MixedLossConfig(scales=1)
 
 
 def _stack_manifest(tmp_path):

@@ -78,7 +78,7 @@ SITES = [
          [(np.zeros((1, 2, 2), np.float32), _B)],
          hyper=ensemble.HyperParams(epochs=1)),
      "train sample 0 mask shape (2, 3) != its stack's spatial shape (2, 2)"),
-    ("tversky_index", lambda _: losses.tversky_index(_A, _B),
+    ("tversky_index", lambda _: losses.tversky_index(_A, _B, 0.7),
      "target shape (2, 2) != prediction shape (2, 3)"),
     ("dice_soft", lambda _: losses.dice_soft(_A, _B),
      "target shape (2, 2) != prediction shape (2, 3)"),
@@ -134,7 +134,7 @@ EMPTY_SITES = [
     ("mean_absolute_error", lambda _: losses.mean_absolute_error(_EMPTY, _EMPTY),
      "a has an empty spatial dim, shape (0, 3)"),
     # scored a perfect 1.0, 1.0 and loss 0.0
-    ("tversky_index", lambda _: losses.tversky_index(_EMPTY, _EMPTY),
+    ("tversky_index", lambda _: losses.tversky_index(_EMPTY, _EMPTY, 0.7),
      "target is empty, shape (0, 3)"),
     ("dice_soft", lambda _: losses.dice_soft(_EMPTY, _EMPTY),
      "target is empty, shape (0, 3)"),
