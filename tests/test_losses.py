@@ -260,6 +260,18 @@ class TestMsSsimAndMixed:
         want = msssim_oracle(a, b, scales=5)
         assert abs(got - want) < 1e-10
 
+    def test_two_scale_oracle(self):
+        # structure at two scales: a shared 16x16-block pattern under
+        # independent pixel noise, so the fine scales score lower than
+        # the coarse ones and every scale term stays in (0, 1)
+        rng = np.random.default_rng(40)
+        coarse = np.kron(rng.random((11, 11)), np.ones((16, 16)))
+        a = 0.7 * coarse + 0.3 * rng.random(coarse.shape)
+        b = 0.7 * coarse + 0.3 * rng.random(coarse.shape)
+        got = msssim(a, b)
+        assert 0.0 < got < 1.0
+        assert abs(got - msssim_oracle(a, b, scales=5)) < 1e-10
+
     def test_symmetry(self):
         rng = np.random.default_rng(41)
         a = rng.random((_SIDE, _SIDE))
